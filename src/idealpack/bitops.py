@@ -31,8 +31,12 @@ def mask(n: int) -> int:
 
 
 def bits_from_positions(positions: Iterable[int], size: int) -> int:
-    """Bitset with exactly the given in-range positions set."""
-    pos = np.fromiter((p for p in positions if 0 <= p < size), dtype=np.int64)
+    """Bitset with exactly the given in-range positions set (an int array is
+    filtered in place of the element-wise scan, and may be unsorted)."""
+    if isinstance(positions, np.ndarray):
+        pos = positions[(positions >= 0) & (positions < size)]
+    else:
+        pos = np.fromiter((p for p in positions if 0 <= p < size), dtype=np.int64)
     if pos.size == 0:
         return 0
     buf = np.zeros(size, dtype=np.uint8)

@@ -23,7 +23,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import words
+import numpy as np
+
+from . import bitops, words
 from .errors import InvalidParam, LengthBudgetTooSmall
 from .groups import FreeGroup2, MaterializedSet
 from .setexpr import Combine, Prim, materialize
@@ -118,16 +120,15 @@ def family_disjoint(
         )
     core_size = words.ball_size(core_len)
 
-    # membership[i]: bitset over core ranks r with (t_i)^-1 * w_r in base
+    # membership[i]: bitset over core ranks r with (t_i)^-1 * w_r in base,
+    # read straight off the base's bytes (the ball is never unpacked)
+    base_bytes = np.frombuffer(base.bits.to_bytes((group.size + 7) // 8, "little"), dtype=np.uint8)
+    core = np.arange(core_size, dtype=np.int64)
     membership = []
     for t in trans:
-        tinv = words.invert_word(t)
-        bits = 0
-        for r in range(core_size):
-            v = words.mul_words(tinv, words.word_at_rank(r))
-            if (base.bits >> words.word_rank(v)) & 1:
-                bits |= 1 << r
-        membership.append(bits)
+        v, _ = words.left_mul_ranks(words.invert_word(t), core, group.depth)
+        hit = (base_bytes[v >> 3] >> (v & 7).astype(np.uint8)) & 1
+        membership.append(bitops.bits_from_positions(np.flatnonzero(hit), core_size))
 
     checked = 0
     violating = None
@@ -141,8 +142,13 @@ def family_disjoint(
         checked += 1
         if inter:
             violating = [trans[i] or "e" for i in combo]
-            wr = (inter & -inter).bit_length() - 1
-            witness = words.word_at_rank(wr) or "e"
+            w = words.word_at_rank((inter & -inter).bit_length() - 1)
+            # the witness is a certificate: confirm it by word arithmetic,
+            # independently of the rank kernel that found it
+            for i in combo:
+                if not base.contains(words.mul_words(words.invert_word(trans[i]), w)):
+                    raise RuntimeError(f"witness {w!r} is not in the translate by {trans[i]!r}")
+            witness = w or "e"
             break
 
     notes = []

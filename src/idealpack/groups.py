@@ -29,6 +29,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
+import numpy as np
+
 from . import bitops, words
 from .errors import (
     InvalidParam,
@@ -48,7 +50,6 @@ __all__ = [
     "MaterializedSet",
     "make_group",
     "load_cayley_table",
-    "translate_set",
 ]
 
 
@@ -260,9 +261,10 @@ class CayleyGroup(_GroupBase):
     """Finite group presented by its multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j.  The
-    constructor checks closure, the claimed identity, inverses, and full
-    associativity; the groups this runs on are small enough that the cubic
-    check is immaterial.
+    same table is also kept as an n x n index array, so translating by g is
+    one gather through row g.  The constructor checks closure, the claimed
+    identity, inverses, and full associativity (cubic, but one row of
+    products at a time in numpy).
     """
 
     kind = "cayley"
@@ -287,12 +289,15 @@ class CayleyGroup(_GroupBase):
         for x in range(n):
             if e not in tab[x]:
                 raise InvalidTable(f"element {x} has no inverse")
+        rows = np.array(tab, dtype=np.intp)
         for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if tab[tab[x][y]][z] != tab[x][tab[y][z]]:
-                        raise InvalidTable(f"associativity fails at ({x}, {y}, {z})")
+            # (xy)z against x(yz) for every y, z at once
+            bad = np.argwhere(rows[rows[x]] != rows[x][rows])
+            if bad.size:
+                y, z = bad[0]
+                raise InvalidTable(f"associativity fails at ({x}, {y}, {z})")
         self.table = tab
+        self._rows = rows
         self.identity_index = e
         self.size = n
         self._inv = tuple(tab[x].index(e) for x in range(n))
@@ -315,11 +320,7 @@ class CayleyGroup(_GroupBase):
         return i
 
     def translate_bits(self, g: int, bits: int) -> tuple[int, int]:
-        row = self.table[g]
-        out = 0
-        for i in bitops.iter_bits(bits):
-            out |= 1 << row[i]
-        return out, 0
+        return _gather_translate((self._rows[g],), bits, self.size)
 
     def exact_core_mask(self, shifts: Sequence) -> int:
         return self.full_mask
@@ -334,6 +335,12 @@ class FreeGroup2(_GroupBase):
     Because shortlex ranks are grouped by length, the sub-ball of radius r is
     the contiguous rank range [0, ball_size(r)), which makes core masks plain
     prefixes.
+
+    Translation gathers through four index maps, one per letter: entry i of
+    the map for x is the rank of ``x * w_i``, or -1 where that product leaves
+    the ball.  They are built by :func:`words.left_mul_ranks` on the first
+    translate (not at construction: at depth 12 they take 17 MB, and
+    disjointness checks never need them).
     """
 
     kind = "free-2"
@@ -343,6 +350,7 @@ class FreeGroup2(_GroupBase):
             raise InvalidParam("word-ball depth must be >= 1")
         self.depth = depth
         self.size = words.ball_size(depth)
+        self._letter_maps: dict[str, np.ndarray] | None = None
 
     def identity(self) -> str:
         return ""
@@ -365,15 +373,18 @@ class FreeGroup2(_GroupBase):
         return words.enumerate_ball(self.depth)
 
     def translate_bits(self, g: str, bits: int) -> tuple[int, int]:
-        out = 0
-        dropped = 0
-        for i in bitops.iter_bits(bits):
-            w = words.mul_words(g, words.word_at_rank(i))
-            if len(w) <= self.depth:
-                out |= 1 << words.word_rank(w)
-            else:
-                dropped += 1
-        return out, dropped
+        if self._letter_maps is None:
+            self._letter_maps = {ch: self._letter_map(ch) for ch in words.ALPHABET}
+        maps = self._letter_maps
+        return _gather_translate([maps[ch] for ch in reversed(g)], bits, self.size)
+
+    def _letter_map(self, ch: str) -> np.ndarray:
+        # in slices, so the kernel's int64 temporaries stay small beside the map
+        out = np.empty(self.size, dtype=np.int32)
+        for lo in range(0, self.size, _MAP_SLICE):
+            ranks = np.arange(lo, min(lo + _MAP_SLICE, self.size))
+            out[lo : lo + ranks.size] = words.left_mul_ranks(ch, ranks, self.depth)[0]
+        return out
 
     def exact_core_mask(self, shifts: Sequence[str]) -> int:
         longest = max((len(g) for g in shifts), default=0)
@@ -387,6 +398,20 @@ class FreeGroup2(_GroupBase):
 
 
 Group = Union[ZWindowGroup, ZModGroup, CayleyGroup, FreeGroup2]
+
+_MAP_SLICE = 1 << 16
+
+
+def _gather_translate(index_maps: Sequence[np.ndarray], bits: int, size: int) -> tuple[int, int]:
+    """Translate on a table carrier: send the set's positions through each
+    index map in turn, dropping the -1 entries (products that left the
+    universe); returns the bitset and the count dropped."""
+    pos = bitops.positions_from_bits(bits, size)
+    before = pos.size
+    for index_map in index_maps:
+        pos = index_map[pos]
+        pos = pos[pos >= 0]
+    return bitops.bits_from_positions(pos, size), before - pos.size
 
 
 def make_group(kind: str, **params) -> Group:
@@ -484,8 +509,3 @@ class MaterializedSet:
 
     def __contains__(self, elem) -> bool:
         return self.contains(elem)
-
-
-def translate_set(s: MaterializedSet, g) -> MaterializedSet:
-    """Functional alias for :meth:`MaterializedSet.translate`."""
-    return s.translate(g)

@@ -38,6 +38,7 @@ import numpy as np
 from . import bitops, words
 from .errors import (
     BudgetExceeded,
+    InvalidParam,
     KindMismatch,
     NotFoundAtScale,
     RangeExceedsMargin,
@@ -51,6 +52,7 @@ from .groups import (
     ZWindowGroup,
 )
 from .ideals import Ideal, TrivialIdeal
+from .packing import _CACHE_BYTE_LIMIT
 
 __all__ = [
     "LargeBounds",
@@ -77,6 +79,12 @@ class LargeBounds:
     max_f: int = 64
     shift_range: int = 256
 
+    def __post_init__(self):
+        if self.max_f < 1:
+            raise InvalidParam(f"largeness bounds need max_f >= 1, got {self.max_f}")
+        if self.shift_range < 0:
+            raise InvalidParam(f"largeness bounds need shift_range >= 0, got {self.shift_range}")
+
 
 @dataclass(frozen=True)
 class SmallBounds:
@@ -84,6 +92,14 @@ class SmallBounds:
     s: int = 16
     inner: LargeBounds = LargeBounds()
     cap: int = 1_000_000
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise InvalidParam(f"smallness bounds need m >= 1, got {self.m}")
+        if self.s < 0:
+            raise InvalidParam(f"smallness bounds need s >= 0, got {self.s}")
+        if self.cap < 1:
+            raise InvalidParam(f"smallness bounds need cap >= 1, got {self.cap}")
 
 
 @dataclass
@@ -242,7 +258,7 @@ def _greedy_large(
         rmask = region_mask
     elif isinstance(group, FreeGroup2):
         depth = min(bounds.shift_range, group.depth)
-        candidates = [words.word_at_rank(r) for r in range(words.ball_size(depth))]
+        candidates = list(words.enumerate_ball(depth))
         rmask = region_mask & group.exact_core_mask([candidates[-1]])
     else:
         raise KindMismatch(f"no greedy cover for kind {group.kind!r}")
@@ -250,6 +266,10 @@ def _greedy_large(
     # translate only the trusted part of A, so coverage never leans on
     # positions whose membership is a truncation artifact
     base_bits = A.bits & region_mask
+    # the base never changes, so each candidate's translate is worked out
+    # once per call, when the cache fits the budget ConflictOracle's does
+    est = (group.size // 8 + 1) * len(candidates)
+    cache: Optional[dict] = {} if est <= _CACHE_BYTE_LIMIT else None
     family: list = []
     acc = 0
     best_size: Optional[int] = None
@@ -270,7 +290,11 @@ def _greedy_large(
         chosen_bits = 0
         chosen_gain = 0
         for cand in candidates:
-            tb, _ = group.translate_bits(cand, base_bits)
+            tb = cache.get(cand) if cache is not None else None
+            if tb is None:
+                tb, _ = group.translate_bits(cand, base_bits)
+                if cache is not None:
+                    cache[cand] = tb
             gain = (tb & residual_bits).bit_count()
             if gain > chosen_gain:
                 chosen, chosen_bits, chosen_gain = cand, tb, gain
@@ -319,7 +343,7 @@ def _family_pool(group: Group, s: int) -> list:
         return spiral_shifts(s)
     if isinstance(group, FreeGroup2):
         depth = min(s, group.depth)
-        return [words.word_at_rank(r) for r in range(words.ball_size(depth))]
+        return list(words.enumerate_ball(depth))
     if isinstance(group, CayleyGroup):
         return list(range(group.size))
     raise KindMismatch(f"no smallness enumeration for kind {group.kind!r}")

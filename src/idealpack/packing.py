@@ -114,7 +114,7 @@ def candidate_translators(
             raise RangeExceedsMargin(
                 f"translator length {word_len} exceeds ball depth {group.depth}"
             )
-        return [words.word_at_rank(r) for r in range(words.ball_size(word_len))]
+        return list(words.enumerate_ball(word_len))
     raise InvalidParam(f"unknown group kind {group.kind!r}")
 
 

@@ -9,9 +9,19 @@ lexicographically with letters ordered ``a < A < b < B``.  Ranks are dense:
 rank 0 is the empty word, and the ``4 * 3**(l-1)`` words of length ``l`` form
 a contiguous block.  This gives word <-> integer conversion without a lookup
 table, which keeps large ball enumerations cheap.
+
+Ranks also drive array arithmetic.  Inside a block a rank reads as a
+base-3 numeral whose leading digit names the first letter (0-3) and whose
+lower digits pick each later letter among the three allowed after its
+predecessor, so :func:`left_mul_ranks` multiplies whole arrays of ranks on
+the left by a word, one letter at a time, without forming any string: it
+either strips the leading digit (cancellation) or prepends one.  The
+string functions stay the reference those array paths are tested against.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import InvalidParam
 
@@ -26,6 +36,7 @@ __all__ = [
     "enumerate_ball",
     "word_rank",
     "word_at_rank",
+    "left_mul_ranks",
     "parse_word",
 ]
 
@@ -33,6 +44,11 @@ ALPHABET = "aAbB"
 
 _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _LETTER_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
+
+# by letter index (inverse pairs are i, i ^ 1): _AFTER[p, d] is the d-th
+# letter allowed after p, _DIGIT[p, c] the digit of letter c after p
+_AFTER = np.array([[c for c in range(4) if c != p ^ 1] for p in range(4)], dtype=np.int64)
+_DIGIT = np.array([[c - (c > p ^ 1) for c in range(4)] for p in range(4)], dtype=np.int64)
 
 
 def inverse_letter(ch: str) -> str:
@@ -140,6 +156,43 @@ def word_at_rank(rank: int) -> str:
     for d in reversed(digits):
         out.append(_allowed_after(out[-1])[d])
     return "".join(out)
+
+
+def left_mul_ranks(word: str, ranks, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of ``word * w_r`` for each rank r of a word in the ball of radius
+    ``depth``, and a mask ``ok`` that is False where the product is longer
+    than ``depth`` (those entries read -1).
+
+    ``word`` must be reduced.  Letters apply right to left; a product only
+    shrinks while ``word``'s tail cancels and only grows afterwards, so an
+    entry that once leaves the ball is out for good.  Works in O(len(ranks))
+    memory, with no ball-sized table.
+    """
+    r = np.array(ranks, dtype=np.int64)
+    ok = np.ones(r.shape, dtype=bool)
+    pow3 = 3 ** np.arange(depth + 1, dtype=np.int64)
+    starts = 2 * pow3 - 1  # starts[l - 1]: rank of the first word of length l
+    for ch in reversed(word):
+        x = _LETTER_INDEX[ch]
+        length = np.searchsorted(starts, r, side="right")
+        lm1 = np.maximum(length - 1, 0)
+        within = r - starts[lm1]
+        first, rest = np.divmod(within, pow3[lm1])
+        first[length == 0] = -1
+        # cancel: drop the first letter; the next one is read off its digit
+        lm2 = np.maximum(length - 2, 0)
+        digit, rest2 = np.divmod(rest, pow3[lm2])
+        second = _AFTER[np.maximum(first, 0), np.minimum(digit, 2)]
+        shorter = np.where(length > 1, starts[lm2] + second * pow3[lm2] + rest2, 0)
+        # prepend x: the old first letter becomes a digit after x
+        longer = starts[np.minimum(length, depth)] + x * pow3[np.minimum(length, depth)]
+        longer += np.where(length > 0, _DIGIT[x, np.maximum(first, 0)] * pow3[lm1] + rest, 0)
+        cancel = first == (x ^ 1)
+        ok &= cancel | (length < depth)
+        r = np.where(cancel, shorter, longer)
+        r[~ok] = 0
+    r[~ok] = -1
+    return r, ok
 
 
 def parse_word(text: str) -> str:

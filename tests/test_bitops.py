@@ -18,6 +18,14 @@ from idealpack.bitops import (
 position_sets = st.sets(st.integers(min_value=0, max_value=200), max_size=40)
 
 
+@given(st.lists(st.integers(min_value=-50, max_value=250), max_size=60))
+def test_bits_from_array_matches_iterable(ps):
+    # unsorted, repeated and out-of-range entries: the array path filters
+    # exactly like the element-wise one
+    size = 201
+    assert bits_from_positions(np.array(ps, dtype=np.int64), size) == bits_from_positions(ps, size)
+
+
 def test_mask():
     assert mask(0) == 0
     assert mask(1) == 1

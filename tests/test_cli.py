@@ -91,6 +91,23 @@ def test_large_verdict_exit_codes(capsys):
     assert doc["result"]["best_residual_size"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # these used to report the evens small-at-scale with exit 0
+        (("small", "--name", "parity", "--window", "0:10000", "--m", "0"), "m >= 1"),
+        (("small", "--name", "parity", "--window", "0:10000", "--s", "-3"), "s >= 0"),
+        # this used to fail on an unrelated window-margin message
+        (("large", "--name", "parity", "--window", "0:10000", "--max-f", "0"), "max_f >= 1"),
+    ],
+)
+def test_invalid_bounds_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_f2_exit_codes(capsys):
     code, doc = run_json(capsys, "f2", "--depth", "6", "--base", "B",
                          "--translators", "shipped-b")

@@ -1,6 +1,9 @@
 """Rank-2 free group: the start-letter partition and disjoint translate families."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealpack.errors import InvalidParam, LengthBudgetTooSmall
 from idealpack.freegroup import (
@@ -9,7 +12,8 @@ from idealpack.freegroup import (
     parse_translators,
     shipped_b_family,
 )
-from idealpack.words import ball_size, invert_word, mul_words
+from idealpack.groups import FreeGroup2, MaterializedSet
+from idealpack.words import ball_size, invert_word, mul_words, reduce_word, word_at_rank, word_rank
 
 
 def test_partition_shapes():
@@ -95,3 +99,51 @@ def test_parse_translators():
         parse_translators("a^2..b^3")  # mixed letters
     with pytest.raises(InvalidParam):
         parse_translators("")
+
+
+def _string_family_disjoint(base, trans, n):
+    """The word-arithmetic reference: (disjoint, violating, witness, checked)."""
+    depth = base.group.depth
+    core_size = ball_size(depth - max(len(t) for t in trans))
+    membership = []
+    for t in trans:
+        bits = 0
+        for r in range(core_size):
+            if (base.bits >> word_rank(mul_words(invert_word(t), word_at_rank(r)))) & 1:
+                bits |= 1 << r
+        membership.append(bits)
+    checked = 0
+    for combo in itertools.combinations(range(len(trans)), n):
+        inter = membership[combo[0]]
+        for i in combo[1:]:
+            inter &= membership[i]
+        checked += 1
+        if inter:
+            witness = word_at_rank((inter & -inter).bit_length() - 1) or "e"
+            return False, [trans[i] or "e" for i in combo], witness, checked
+    return True, None, None, checked
+
+
+@given(
+    st.integers(1, 8),
+    st.sampled_from(["A", "B", "random"]),
+    st.lists(st.text(alphabet="aAbB", max_size=8).map(reduce_word), min_size=2, max_size=6, unique=True),
+    st.integers(2, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_family_disjoint_matches_string_path(depth, piece, trans, n, rnd):
+    trans = [t[:depth] for t in trans]
+    trans = [t for i, t in enumerate(trans) if t not in trans[:i]]
+    _, a_side, b_side = f2_partition(depth)
+    if piece == "A":
+        base = a_side
+    elif piece == "B":
+        base = b_side
+    else:
+        group = FreeGroup2(depth)
+        base = MaterializedSet(group, rnd.getrandbits(group.size))
+    report = family_disjoint(base, [t or "e" for t in trans], n)
+    expected = _string_family_disjoint(base, trans, n)
+    got = (report.disjoint, report.violating, report.witness, report.subsets_checked)
+    assert got == expected

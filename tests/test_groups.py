@@ -1,9 +1,12 @@
 """Group carriers: window arithmetic, translation, exact cores."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
-from idealpack.errors import InvalidParam, ScaleMismatch, ShiftOutOfBudget
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from idealpack import bitops
+from idealpack.errors import InvalidParam, InvalidTable, ScaleMismatch, ShiftOutOfBudget
 from idealpack.groups import (
     CayleyGroup,
     FreeGroup2,
@@ -12,7 +15,7 @@ from idealpack.groups import (
     ZWindowGroup,
     make_group,
 )
-from idealpack.words import ball_size
+from idealpack.words import ball_size, enumerate_ball, mul_words, word_at_rank, word_rank
 
 
 def klein_four() -> CayleyGroup:
@@ -32,6 +35,24 @@ def test_window_validation():
         Window(0, 10, -1)
     w = Window(3, 12, 2)
     assert w.size == 10
+
+
+def symmetric_table(n: int) -> tuple[list[list[int]], int]:
+    """S_n on permutations in lexicographic order; (p*q)(i) = p(q(i))."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+    return table, index[tuple(range(n))]
+
+
+def dihedral_table(n: int) -> tuple[list[list[int]], int]:
+    """D_n as r^i s^j, element index i + n*j."""
+
+    def mul(x, y):
+        i, j, k, l = x % n, x // n, y % n, y // n
+        return (i + (-k if j else k)) % n + n * ((j + l) % 2)
+
+    return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)], 0
 
 
 def test_zwindow_translate_respects_margin():
@@ -79,6 +100,84 @@ def test_cayley_rejects_non_group():
     # row 1 repeats an element: not a Latin square
     with pytest.raises(InvalidParam):
         CayleyGroup([[0, 1], [1, 1]], 0)
+
+
+def _row_loop_translate(table, g, bits):
+    out = 0
+    for i in bitops.iter_bits(bits):
+        out |= 1 << table[g][i]
+    return out
+
+
+_TABLES = [symmetric_table(4), dihedral_table(5), dihedral_table(11)]
+
+
+@given(st.sampled_from(_TABLES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cayley_translate_matches_row_loop(table_and_e, data):
+    table, e = table_and_e
+    g = CayleyGroup(table, e)
+    ps = data.draw(st.sets(st.integers(0, g.size - 1)))
+    h = data.draw(st.integers(0, g.size - 1))
+    bits = bitops.bits_from_positions(ps, g.size)
+    assert g.translate_bits(h, bits) == (_row_loop_translate(table, h, bits), 0)
+
+
+def _first_associativity_failure(table):
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+@pytest.mark.parametrize("table_and_e", [symmetric_table(3), dihedral_table(4)])
+def test_cayley_associativity_reports_first_triple(table_and_e):
+    # corrupt one product at a time (keeping identity and inverses intact):
+    # the reported triple is the first one in (x, y, z) loop order
+    table, e = table_and_e
+    n = len(table)
+    seen = 0
+    for x, y in itertools.product(range(n), repeat=2):
+        if e in (x, y) or table[x][y] == e:
+            continue
+        for v in range(n):
+            if v in (e, table[x][y]):
+                continue
+            bad = [list(row) for row in table]
+            bad[x][y] = v
+            expected = _first_associativity_failure(bad)
+            assert expected is not None
+            with pytest.raises(InvalidTable) as err:
+                CayleyGroup(bad, e)
+            assert str(err.value) == "associativity fails at ({}, {}, {})".format(*expected)
+            seen += 1
+    assert seen > 0
+
+
+def _string_translate(depth, g, bits):
+    out, dropped = 0, 0
+    for i in bitops.iter_bits(bits):
+        w = mul_words(g, word_at_rank(i))
+        if len(w) <= depth:
+            out |= 1 << word_rank(w)
+        else:
+            dropped += 1
+    return out, dropped
+
+
+@given(
+    st.integers(1, 5),
+    st.sampled_from(list(enumerate_ball(4))),
+    st.sets(st.integers(0, ball_size(5) - 1), max_size=80),
+)
+@settings(max_examples=80, deadline=None)
+def test_free_group_translate_matches_string_path(depth, g, ps):
+    group = FreeGroup2(depth)
+    bits = bitops.bits_from_positions(ps, group.size)
+    assert group.translate_bits(g, bits) == _string_translate(depth, g, bits)
 
 
 def test_free_group_translate_truncates():

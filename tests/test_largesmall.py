@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealpack.errors import NotFoundAtScale, RangeExceedsMargin
+from idealpack.errors import InvalidParam, NotFoundAtScale, RangeExceedsMargin
 from idealpack.groups import Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import DensityZeroIdeal, TrivialIdeal
 from idealpack.largesmall import (
@@ -147,3 +147,33 @@ def test_fast_and_general_verdicts_agree(ps):
     fast = _FastZChecker(A, inner)
     for F in _SPIRAL_FAMILIES:
         assert fast.check(F) == _general_family_check(A, TrivialIdeal(), F, inner), F
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LargeBounds(max_f=0),
+        lambda: LargeBounds(shift_range=-1),
+        lambda: SmallBounds(m=0),
+        lambda: SmallBounds(s=-3),
+        lambda: SmallBounds(cap=0),
+    ],
+)
+def test_bounds_validated_at_construction(make):
+    with pytest.raises(InvalidParam):
+        make()
+
+
+def test_zero_prefix_depth_is_a_usage_error():
+    # with max_f = 0 no prefix depth is left: the fast checker said ('large', 0)
+    # and the general path ('inconclusive', 0) for the empty set, so smallness
+    # rested on zero certified prefixes; such bounds no longer exist
+    g = ZWindowGroup(Window(0, 99, margin=8))
+    with pytest.raises(InvalidParam):
+        is_ideal_small(g.empty_set(), TrivialIdeal(), SmallBounds(m=1, s=0, inner=LargeBounds(max_f=0)))
+    # the smallest valid inner bound gives the two paths one answer
+    from idealpack.largesmall import _FastZChecker, _general_family_check
+
+    inner = LargeBounds(max_f=1)
+    A = g.empty_set()
+    assert _FastZChecker(A, inner).check([0]) == _general_family_check(A, TrivialIdeal(), [0], inner)

@@ -1,7 +1,8 @@
 """Free-group word arithmetic: reduction, ranks, ball enumeration."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from idealpack.errors import InvalidParam
 from idealpack.words import (
@@ -9,6 +10,7 @@ from idealpack.words import (
     enumerate_ball,
     invert_word,
     is_reduced,
+    left_mul_ranks,
     mul_words,
     parse_word,
     reduce_word,
@@ -73,6 +75,21 @@ def test_enumerate_ball_matches_ranks():
     assert len(ws) == ball_size(3)
     assert all(word_rank(w) == i for i, w in enumerate(ws))
     assert all(is_reduced(w) and len(w) <= 3 for w in ws)
+
+
+@given(st.integers(min_value=0, max_value=6), reduced_words)
+@settings(max_examples=60, deadline=None)
+def test_left_mul_ranks_matches_string_products(depth, g):
+    # every rank of the ball, against mul_words / word_rank; ok is False
+    # exactly where the product is longer than the depth
+    n = ball_size(depth)
+    ranks, ok = left_mul_ranks(g, np.arange(n), depth)
+    for r in range(n):
+        p = mul_words(g, word_at_rank(r))
+        if len(p) <= depth:
+            assert ok[r] and ranks[r] == word_rank(p), (g, r, p)
+        else:
+            assert not ok[r] and ranks[r] == -1, (g, r, p)
 
 
 def test_parse_word():
