@@ -39,12 +39,18 @@ class CriterionResult:
     elapsed_s: float
     budget_s: Optional[float] = None
 
-    def line(self) -> str:
+    def line(self, timed: bool = True) -> str:
+        """One PASS/FAIL line; ``timed=False`` leaves out the run time, so
+        the line repeats exactly from run to run."""
         status = "PASS" if self.passed else "FAIL"
-        timing = f"{self.elapsed_s:.2f}s"
-        if self.budget_s is not None:
-            timing += f" < {self.budget_s:g}s"
-        return f"{status}  criterion {self.index:2d}: {self.title}  [{timing}]  {self.detail}"
+        head = f"{status}  criterion {self.index:2d}: {self.title}  "
+        if timed:
+            timing = f"{self.elapsed_s:.2f}s"
+            if self.budget_s is not None:
+                over = self.elapsed_s > self.budget_s
+                timing += f" {'>' if over else '<'} {self.budget_s:g}s"
+            head += f"[{timing}]  "
+        return head + self.detail
 
     def payload(self) -> dict:
         return {
@@ -63,7 +69,7 @@ def _finish(
     elapsed = time.perf_counter() - t0
     if budget is not None and elapsed > budget:
         ok = False
-        detail += f"; over time budget ({elapsed:.2f}s > {budget}s)"
+        detail += "; over time budget"
     return CriterionResult(index, title, ok, detail, elapsed, budget)
 
 

@@ -17,11 +17,9 @@ __all__ = [
     "bits_from_positions",
     "positions_from_bits",
     "bit_array",
+    "bits_from_array",
     "sorted_unique",
     "iter_bits",
-    "lowest_bit",
-    "highest_bit",
-    "max_run_length",
 ]
 
 
@@ -60,6 +58,12 @@ def bit_array(bits: int, size: int) -> np.ndarray:
     return np.unpackbits(buf, bitorder="little", count=size)
 
 
+def bits_from_array(arr: np.ndarray) -> int:
+    """Bitset whose bit i mirrors entry i of a 0/1 or bool array (the
+    inverse of ``bit_array``)."""
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of a 1-D array: ``np.unique`` by sort and
     adjacent compare.
@@ -84,31 +88,3 @@ def iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
-
-
-def lowest_bit(bits: int) -> int | None:
-    if bits == 0:
-        return None
-    return (bits & -bits).bit_length() - 1
-
-
-def highest_bit(bits: int) -> int | None:
-    if bits == 0:
-        return None
-    return bits.bit_length() - 1
-
-
-def max_run_length(bits: int, cap: int | None = None) -> int:
-    """Length of the longest run of consecutive set bits.
-
-    Each AND-with-shift pass trims every run by one, so the pass count is the
-    answer.  With ``cap`` given, returns ``cap + 1`` as soon as a longer run
-    is certain, which keeps the loop cheap on huge bitsets.
-    """
-    length = 0
-    while bits:
-        if cap is not None and length >= cap:
-            return cap + 1
-        bits &= bits >> 1
-        length += 1
-    return length

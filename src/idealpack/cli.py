@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .acceptance import run_all
+from .acceptance import CriterionResult, run_all
 from .completion import iterate_completion
 from .config import RunConfig, load_config
 from .errors import (
@@ -440,7 +440,7 @@ def _cmd_verify(args, cfg) -> tuple[dict, int]:
     payload = {
         "all_passed": all_passed,
         "criteria": [r.payload() for r in results],
-        "lines": [r.line() for r in results],
+        "lines": [r.line(timed=False) for r in results],
     }
     return envelope("verify-paper", {}, payload, elapsed_ms=_ms(t0)), 0 if all_passed else 1
 
@@ -579,8 +579,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "verify-paper" and _report_format(args, cfg) == "text":
-        for line in payload["result"]["lines"]:
-            print(line)
+        for crit in payload["result"]["criteria"]:
+            print(CriterionResult(**crit).line())
         return code
     _emit(args, cfg, payload)
     return code

@@ -37,7 +37,6 @@ __all__ = [
     "CompletionTrace",
     "CompletionContext",
     "pack_completion_stage",
-    "s_completion_stage",
     "iterate_completion",
 ]
 
@@ -202,19 +201,6 @@ def pack_completion_stage(
     """One pack_n stage: next catalog subset (superset of the input)."""
     ctx = CompletionContext(catalog, group, base)
     out, _ = ctx.pack_stage(set(admitted), 1, [n], candidates, threshold)
-    return sorted(out)
-
-
-def s_completion_stage(
-    admitted: Sequence[str],
-    catalog: Catalog,
-    group: Group,
-    bounds: SmallBounds,
-    base: Optional[Ideal] = None,
-) -> list[str]:
-    """One S stage: admit everything small-at-scale over the frozen ideal."""
-    ctx = CompletionContext(catalog, group, base)
-    out, _ = ctx.s_stage(set(admitted), 1, bounds)
     return sorted(out)
 
 

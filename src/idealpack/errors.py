@@ -23,7 +23,6 @@ __all__ = [
     "BudgetExceeded",
     "AvoidanceNotFound",
     "NotFoundAtScale",
-    "LengthExceeded",
     "LengthBudgetTooSmall",
     "PreconditionFailed",
 ]
@@ -106,10 +105,6 @@ class NotFoundAtScale(IdealpackError):
         super().__init__(message)
         self.best_family = best_family
         self.best_residual_size = best_residual_size
-
-
-class LengthExceeded(IdealpackError):
-    """A reduced word outgrew the ball depth it must live in."""
 
 
 class LengthBudgetTooSmall(IdealpackError):

@@ -320,7 +320,12 @@ class CayleyGroup(_GroupBase):
         return i
 
     def translate_bits(self, g: int, bits: int) -> tuple[int, int]:
-        return _gather_translate((self._rows[g],), bits, self.size)
+        return self.translate_positions(g, bitops.positions_from_bits(bits, self.size))
+
+    def translate_positions(self, g: int, pos: np.ndarray) -> tuple[int, int]:
+        """``translate_bits`` of the set whose positions are given, for
+        callers that translate one decoded set many times."""
+        return _gather_translate((self._rows[g],), pos, self.size)
 
     def exact_core_mask(self, shifts: Sequence) -> int:
         return self.full_mask
@@ -373,10 +378,15 @@ class FreeGroup2(_GroupBase):
         return words.enumerate_ball(self.depth)
 
     def translate_bits(self, g: str, bits: int) -> tuple[int, int]:
+        return self.translate_positions(g, bitops.positions_from_bits(bits, self.size))
+
+    def translate_positions(self, g: str, pos: np.ndarray) -> tuple[int, int]:
+        """``translate_bits`` of the set whose positions are given, for
+        callers that translate one decoded set many times."""
         if self._letter_maps is None:
             self._letter_maps = {ch: self._letter_map(ch) for ch in words.ALPHABET}
         maps = self._letter_maps
-        return _gather_translate([maps[ch] for ch in reversed(g)], bits, self.size)
+        return _gather_translate([maps[ch] for ch in reversed(g)], pos, self.size)
 
     def _letter_map(self, ch: str) -> np.ndarray:
         # in slices, so the kernel's int64 temporaries stay small beside the map
@@ -402,11 +412,10 @@ Group = Union[ZWindowGroup, ZModGroup, CayleyGroup, FreeGroup2]
 _MAP_SLICE = 1 << 16
 
 
-def _gather_translate(index_maps: Sequence[np.ndarray], bits: int, size: int) -> tuple[int, int]:
+def _gather_translate(index_maps: Sequence[np.ndarray], pos: np.ndarray, size: int) -> tuple[int, int]:
     """Translate on a table carrier: send the set's positions through each
     index map in turn, dropping the -1 entries (products that left the
     universe); returns the bitset and the count dropped."""
-    pos = bitops.positions_from_bits(bits, size)
     before = pos.size
     for index_map in index_maps:
         pos = index_map[pos]

@@ -46,8 +46,6 @@ __all__ = [
     "StageIdeal",
     "make_ideal",
     "member",
-    "subset_mod",
-    "eq_mod",
     "max_window_count",
 ]
 
@@ -312,11 +310,3 @@ def make_ideal(kind: str, **params) -> Ideal:
 def member(ideal: Ideal, A: MaterializedSet, expr: Optional[SetExpr] = None) -> bool:
     return ideal.member(A, expr)
 
-
-def subset_mod(ideal: Ideal, A: MaterializedSet, B: MaterializedSet) -> bool:
-    """A ⊂_I B: the part of A outside B lies in the ideal."""
-    return ideal.member(A.diff(B))
-
-
-def eq_mod(ideal: Ideal, A: MaterializedSet, B: MaterializedSet) -> bool:
-    return subset_mod(ideal, A, B) and subset_mod(ideal, B, A)

@@ -265,7 +265,7 @@ def _greedy_large(
 
     # translate only the trusted part of A, so coverage never leans on
     # positions whose membership is a truncation artifact
-    base_bits = A.bits & region_mask
+    base_pos = bitops.positions_from_bits(A.bits & region_mask, group.size)
     # the base never changes, so each candidate's translate is worked out
     # once per call, when the cache fits the budget ConflictOracle's does
     est = (group.size // 8 + 1) * len(candidates)
@@ -292,7 +292,7 @@ def _greedy_large(
         for cand in candidates:
             tb = cache.get(cand) if cache is not None else None
             if tb is None:
-                tb, _ = group.translate_bits(cand, base_bits)
+                tb, _ = group.translate_positions(cand, base_pos)
                 if cache is not None:
                     cache[cand] = tb
             gain = (tb & residual_bits).bit_count()

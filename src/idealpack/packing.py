@@ -8,6 +8,13 @@ intersection of translates by exactly those shifts carries no boundary
 artifacts.  ``pack_greedy`` gives a certified lower bound; ``pack_exact``
 runs branch-and-bound seeded with the greedy family.
 
+For n=2 the conflict graph is built in bulk (``ConflictOracle.pair_rows``):
+on Z windows and Z_N with the trivial ideal each shift difference is decided
+once and every row is filled from those decisions with numpy, already
+permuted into search order, as a Python-int bitset.  Both searches run on an
+explicit stack, so their depth is bounded by the candidate count and not by
+the interpreter's recursion limit, which is left alone.
+
 Flags: "exact" (search completed), "lower-bound" (node budget hit first),
 "saturated" (the family exhausts every candidate — the finite stand-in for
 an infinite index).  Any family smaller than n is vacuously independent, so
@@ -17,8 +24,9 @@ members, subsets of members are members), so the search is skipped and the
 full candidate list reported as saturated.
 
 Search determinism: candidates are ordered by conflict degree descending
-with candidate-index tie-break, the DFS explores include-before-exclude, and
-incumbents are replaced only by strictly larger families — reports never
+with candidate-index tie-break, the DFS explores include-before-exclude,
+prunes a node when the open candidates cannot lift it above the incumbent,
+and replaces incumbents only by strictly larger families — reports never
 depend on timing.
 """
 
@@ -121,12 +129,12 @@ def candidate_translators(
 class ConflictOracle:
     """Decides whether an n-subset of candidates (given by indices) conflicts.
 
-    For n=2 with the trivial ideal on integer kinds there are closed per-pair
-    checks: on a Z window, translates by b <= c intersect on the exact core
-    iff A meets A-(c-b) at a position u <= hi-c, so one sorted-array
-    intersection per difference answers every pair with that difference; on
-    Z_N it is a cyclic overlap question per difference.  Everything else
-    intersects cached translate bitsets and asks the ideal.
+    For n=2 with the trivial ideal on integer kinds, an edge depends on the
+    two shifts only through their difference d, and each d is decided once:
+    on a Z window, translates by b <= c intersect on the exact core iff A
+    meets A-d at a position u <= hi-c, so the least such u is kept per
+    difference; on Z_N the question is whether A meets its rotation by d.
+    Everything else intersects cached translate bitsets and asks the ideal.
     """
 
     def __init__(self, A: MaterializedSet, ideal: Ideal, candidates: Sequence, n: int):
@@ -146,10 +154,15 @@ class ConflictOracle:
             ):
                 self._mode = "z-window-pairs"
                 self._positions = bitops.positions_from_bits(A.bits, self.group.size)
-                self._minw: dict[int, Optional[int]] = {}
+                # least witness per difference; group.size when there is none.
+                # A difference past the window has no witness, and a pair
+                # that far apart never meets on the core, so lookups clip to it.
+                top = min(max(self.cands, default=0), self.group.size - 1)
+                self._diff = np.full(top + 1, -1, dtype=np.int64)
             elif isinstance(self.group, ZModGroup):
                 self._mode = "z-mod-pairs"
-                self._diff_hit: dict[int, bool] = {}
+                # 1 where A meets its rotation by the difference, else 0
+                self._diff = np.full(self.group.size, -1, dtype=np.int8)
         # translate cache for the general path, if it fits
         self._tcache: Optional[dict] = None
         if self._mode == "general":
@@ -158,16 +171,45 @@ class ConflictOracle:
                 self._tcache = {}
 
     # -- helpers -----------------------------------------------------------
-    def _min_witness(self, d: int) -> Optional[int]:
-        """Least index u with u and u+d both in A (None if no such u)."""
-        got = self._minw.get(d, "?")
-        if got != "?":
-            return got
-        p = self._positions
-        inter = np.intersect1d(p, p - d, assume_unique=True)
-        val = int(inter[0]) if inter.size else None
-        self._minw[d] = val
-        return val
+    def _decide_diff(self, d: int) -> int:
+        """The per-difference part of a pair decision (see the class doc)."""
+        if self._mode == "z-window-pairs":
+            p = self._positions
+            inter = np.intersect1d(p, p - d, assume_unique=True)
+            return int(inter[0]) if inter.size else self.group.size
+        rot = self.group.translate_bits(d, self.A.bits)[0]
+        return int((self.A.bits & rot) != 0)
+
+    def _diff_value(self, d: int) -> int:
+        v = int(self._diff[d])
+        if v < 0:
+            v = self._diff[d] = self._decide_diff(d)
+        return v
+
+    def _diff_values(self, ds: np.ndarray) -> np.ndarray:
+        vals = self._diff[ds]
+        unknown = ds[vals < 0]
+        if unknown.size:
+            for d in bitops.sorted_unique(unknown).tolist():
+                self._diff[d] = self._decide_diff(d)
+            vals = self._diff[ds]
+        return vals
+
+    def _pair_row(self, i: int, cands: np.ndarray) -> np.ndarray:
+        """Bool array: entry j says whether candidates i and j conflict, as
+        ``is_edge`` decides it."""
+        c = cands[i]
+        if self._mode == "z-window-pairs":
+            lim = (self.group.size - 1) - np.maximum(cands, c)
+            ds = np.minimum(np.abs(cands - c), self._diff.size - 1)
+            row = self._diff_values(ds) <= lim
+        else:
+            # is_edge takes the difference from the lower index to the higher
+            ds = (cands - c) % self.group.size
+            ds[:i] = (c - cands[:i]) % self.group.size
+            row = self._diff_values(ds) > 0
+        row[i] = False
+        return row
 
     def _translate(self, idx: int) -> int:
         if self._tcache is not None:
@@ -184,18 +226,11 @@ class ConflictOracle:
         if self._mode == "z-window-pairs":
             self.edges_evaluated += 1
             b, c = sorted((self.cands[combo[0]], self.cands[combo[1]]))
-            mw = self._min_witness(c - b)
-            return mw is not None and mw <= self.group.size - 1 - c
+            return self._diff_value(min(c - b, self._diff.size - 1)) <= self.group.size - 1 - c
         if self._mode == "z-mod-pairs":
             self.edges_evaluated += 1
             b, c = self.cands[combo[0]], self.cands[combo[1]]
-            d = (c - b) % self.group.size
-            hitq = self._diff_hit.get(d)
-            if hitq is None:
-                rot = self.group.translate_bits(d, self.A.bits)[0]
-                hitq = (self.A.bits & rot) != 0
-                self._diff_hit[d] = hitq
-            return hitq
+            return self._diff_value((c - b) % self.group.size) > 0
         hit = self._memo.get(combo)
         if hit is not None:
             return hit
@@ -211,6 +246,33 @@ class ConflictOracle:
         edge = not self.ideal.member(piece)
         self._memo[combo] = edge
         return edge
+
+    def pair_rows(self) -> tuple[list[int], list[int]]:
+        """The n=2 conflict graph as bitset rows in search order.
+
+        ``order`` lists the candidate indices by conflict degree descending,
+        index ascending; ``rows[p]`` has bit q set when candidates
+        ``order[p]`` and ``order[q]`` conflict.  Every pair counts as one
+        evaluated edge.  The per-difference modes build each row with numpy,
+        one row at a time; the general mode asks ``is_edge`` pair by pair.
+        """
+        m = len(self.cands)
+        if self._mode == "general":
+            adj = [0] * m
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if self.is_edge((i, j)):
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+        else:
+            self.edges_evaluated += m * (m - 1) // 2
+            cands = np.array(self.cands, dtype=np.int64)
+            adj = [bitops.bits_from_array(self._pair_row(i, cands)) for i in range(m)]
+        deg = [a.bit_count() for a in adj]
+        order = sorted(range(m), key=lambda i: (-deg[i], i))
+        perm = np.array(order, dtype=np.intp)
+        rows = [bitops.bits_from_array(bitops.bit_array(adj[i], m)[perm]) for i in order]
+        return order, rows
 
 
 def _member_shortcut(
@@ -296,28 +358,17 @@ def _validate_n(n: int) -> None:
 def _exact_pairs(
     oracle: ConflictOracle, m: int, node_budget: int
 ) -> tuple[list[int], bool, int]:
-    """Max independent set in the conflict graph (n=2) by bitmask B&B."""
-    import sys
+    """Max independent set in the conflict graph (n=2) by bitmask B&B.
 
-    if sys.getrecursionlimit() < 2 * m + 200:
-        sys.setrecursionlimit(2 * m + 200)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if oracle.is_edge((i, j)):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    deg = [a.bit_count() for a in adj]
-    order = sorted(range(m), key=lambda i: (-deg[i], i))
+    Depth-first, include before exclude, on an explicit stack: ``cur`` holds
+    the positions (in search order) taken on the way down, ``rem`` the
+    positions still open below them, and ``stack`` what each level has left
+    to try once the branch under it closes.
+    """
+    order, padj = oracle.pair_rows()
     pos_of = [0] * m
     for p, i in enumerate(order):
         pos_of[i] = p
-    padj = [0] * m
-    for i in range(m):
-        row = 0
-        for j in bitops.iter_bits(adj[i]):
-            row |= 1 << pos_of[j]
-        padj[pos_of[i]] = row
 
     # greedy seed in original candidate order, as the incumbent
     seed: list[int] = []
@@ -328,85 +379,96 @@ def _exact_pairs(
             seed.append(i)
             seed_mask_p |= 1 << p
 
-    best = list(pos_of[i] for i in seed)
+    best = [pos_of[i] for i in seed]
+    nbest = len(best)
+    full = bitops.mask(m)
+    keep = [full ^ row for row in padj]  # the positions each choice leaves open
     nodes = 0
     budget_hit = False
-
-    def expand(cur: list[int], rem: int) -> None:
-        nonlocal best, nodes, budget_hit
-        while rem:
-            if budget_hit:
-                return
-            if len(cur) + rem.bit_count() <= len(best):
-                return
-            nodes += 1
-            if nodes > node_budget:
-                budget_hit = True
-                return
-            low = rem & -rem
-            p = low.bit_length() - 1
-            cur.append(p)
-            if len(cur) > len(best):
-                best = list(cur)
-            expand(cur, rem & ~low & ~padj[p])
+    cur: list[int] = []
+    stack: list[int] = []
+    rem = full
+    while True:
+        if len(cur) + rem.bit_count() <= nbest:
+            if not stack:
+                break
+            rem = stack.pop()
             cur.pop()
-            rem &= ~low
-        return
-
-    expand([], bitops.mask(m))
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            budget_hit = True
+            break
+        low = rem & -rem
+        p = low.bit_length() - 1
+        rem ^= low
+        stack.append(rem)
+        cur.append(p)
+        if len(cur) > nbest:
+            best = list(cur)
+            nbest = len(best)
+        rem &= keep[p]
     return sorted(order[p] for p in best), budget_hit, nodes
 
 
 def _exact_hyper(
     oracle: ConflictOracle, m: int, n: int, node_budget: int
 ) -> tuple[list[int], bool, int]:
-    """B&B for n >= 3: hyperedges precomputed, feasibility by subset check."""
-    edges_with: dict[int, list[frozenset]] = {i: [] for i in range(m)}
-    degree = [0] * m
+    """B&B for n >= 3 on an explicit stack.
+
+    Each hyperedge is stored once per member, as the bitmask of its other
+    members: a candidate fits a family unless one of its masks lies inside
+    the family's mask.  ``cur`` holds the candidates taken on the way down,
+    ``p`` the next search position to try below them, and ``starts`` the
+    position each level resumes from once the branch under it closes.
+    """
+    rests: list[list[int]] = [[] for _ in range(m)]
     for combo in itertools.combinations(range(m), n):
         if oracle.is_edge(combo):
-            fs = frozenset(combo)
+            edge = 0
             for i in combo:
-                edges_with[i].append(fs)
-                degree[i] += 1
-    order = sorted(range(m), key=lambda i: (-degree[i], i))
+                edge |= 1 << i
+            for i in combo:
+                rests[i].append(edge ^ (1 << i))
+    order = sorted(range(m), key=lambda i: (-len(rests[i]), i))
 
-    def feasible(cur_set: frozenset, i: int) -> bool:
-        for e in edges_with[i]:
-            if e <= cur_set | {i}:
-                return False
-        return True
+    def fits(family_mask: int, i: int) -> bool:
+        return all(r & family_mask != r for r in rests[i])
 
     # greedy seed in original candidate order
     seed: list[int] = []
+    seed_mask = 0
     for i in range(m):
-        if feasible(frozenset(seed), i):
+        if fits(seed_mask, i):
             seed.append(i)
+            seed_mask |= 1 << i
 
-    best = list(seed)
+    best = seed
     nodes = 0
     budget_hit = False
-
-    def expand(cur: list[int], start_pos: int) -> None:
-        nonlocal best, nodes, budget_hit
-        for p in range(start_pos, m):
-            if budget_hit:
-                return
-            if len(cur) + (m - p) <= len(best):
-                return
-            nodes += 1
-            if nodes > node_budget:
-                budget_hit = True
-                return
-            i = order[p]
-            if feasible(frozenset(cur), i):
-                cur.append(i)
-                if len(cur) > len(best):
-                    best = list(cur)
-                expand(cur, p + 1)
-                cur.pop()
-
-    expand([], 0)
+    cur: list[int] = []
+    cur_mask = 0
+    starts: list[int] = []
+    p = 0
+    while True:
+        if len(cur) + (m - p) <= len(best):
+            if not starts:
+                break
+            p = starts.pop()
+            cur_mask ^= 1 << cur.pop()
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            budget_hit = True
+            break
+        i = order[p]
+        p += 1
+        if fits(cur_mask, i):
+            starts.append(p)
+            cur.append(i)
+            cur_mask |= 1 << i
+            if len(cur) > len(best):
+                best = list(cur)
     return sorted(best), budget_hit, nodes
 
 

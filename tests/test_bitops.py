@@ -5,12 +5,10 @@ from hypothesis import given, strategies as st
 
 from idealpack.bitops import (
     bit_array,
+    bits_from_array,
     bits_from_positions,
-    highest_bit,
     iter_bits,
-    lowest_bit,
     mask,
-    max_run_length,
     positions_from_bits,
     sorted_unique,
 )
@@ -48,36 +46,14 @@ def test_bit_array_agrees(ps):
     arr = bit_array(bits, size)
     assert arr.dtype == np.uint8
     assert set(np.flatnonzero(arr)) == ps
+    assert bits_from_array(arr) == bits
+    assert bits_from_array(arr.astype(bool)) == bits
 
 
 @given(position_sets)
-def test_extreme_bits(ps):
+def test_iter_bits_in_order(ps):
     bits = bits_from_positions(ps, 201)
-    if not ps:
-        assert lowest_bit(bits) is None and highest_bit(bits) is None
-    else:
-        assert lowest_bit(bits) == min(ps)
-        assert highest_bit(bits) == max(ps)
     assert list(iter_bits(bits)) == sorted(ps)
-
-
-def test_max_run_length():
-    assert max_run_length(0) == 0
-    assert max_run_length(0b1) == 1
-    assert max_run_length(0b111) == 3
-    assert max_run_length(0b1011101) == 3
-    # cap short-circuits: reports at least cap when a run reaches it
-    assert max_run_length(mask(100), cap=7) >= 7
-
-
-@given(position_sets)
-def test_max_run_matches_brute(ps):
-    bits = bits_from_positions(ps, 201)
-    best = run = 0
-    for i in range(201):
-        run = run + 1 if (bits >> i) & 1 else 0
-        best = max(best, run)
-    assert max_run_length(bits) == best
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=60))

@@ -259,3 +259,10 @@ def test_verify_paper_text_lines(capsys):
     assert code == 0
     assert out.startswith("PASS")
     assert "criterion" in out
+    assert "s < 5s]" in out  # the text report shows each criterion's time
+
+
+def test_verify_paper_json_repeats_once_stripped(capsys):
+    docs = [run_json(capsys, "verify-paper", "--only", "3")[1] for _ in range(2)]
+    assert strip_timing(docs[0]) == strip_timing(docs[1])
+    assert "s < " not in docs[0]["result"]["lines"][0]

@@ -121,6 +121,8 @@ def test_cayley_translate_matches_row_loop(table_and_e, data):
     h = data.draw(st.integers(0, g.size - 1))
     bits = bitops.bits_from_positions(ps, g.size)
     assert g.translate_bits(h, bits) == (_row_loop_translate(table, h, bits), 0)
+    # callers that decode the set once translate its positions directly
+    assert g.translate_positions(h, bitops.positions_from_bits(bits, g.size)) == g.translate_bits(h, bits)
 
 
 def _first_associativity_failure(table):
@@ -178,6 +180,8 @@ def test_free_group_translate_matches_string_path(depth, g, ps):
     group = FreeGroup2(depth)
     bits = bitops.bits_from_positions(ps, group.size)
     assert group.translate_bits(g, bits) == _string_translate(depth, g, bits)
+    pos = bitops.positions_from_bits(bits, group.size)
+    assert group.translate_positions(g, pos) == group.translate_bits(g, bits)
 
 
 def test_free_group_translate_truncates():

@@ -1,15 +1,21 @@
 """Packing index: conflict oracles, greedy floor, exact search, budgets."""
 
 import itertools
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealpack import bitops
 from idealpack.errors import BudgetExceeded, InvalidParam, RangeExceedsMargin
-from idealpack.groups import MaterializedSet, Window, ZModGroup, ZWindowGroup
+from idealpack.groups import CayleyGroup, MaterializedSet, Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.packing import (
     ConflictOracle,
+    _exact_hyper,
+    _exact_pairs,
     candidate_translators,
     pack_exact,
     pack_greedy,
@@ -63,6 +69,222 @@ def test_zmod_pair_oracle_matches_literal(ps):
         bi, _ = g.translate_bits(i, A.bits)
         bj, _ = g.translate_bits(j, A.bits)
         assert fast.is_edge((i, j)) == ((bi & bj) != 0)
+
+
+def _zwindow_case(data):
+    margin = data.draw(st.integers(0, 12), label="margin")
+    g = ZWindowGroup(Window(0, data.draw(st.integers(30, 80), label="hi"), margin=margin))
+    A = g.set_of(data.draw(st.sets(st.integers(0, g.size - 1), min_size=1, max_size=20), label="A"))
+    # shifts up to the margin, in any order, and a few past the window
+    cands = data.draw(st.permutations(range(margin + 1)), label="cands")
+    far = data.draw(st.sets(st.integers(g.size - 3, 2 * g.size), max_size=3), label="far")
+    return A, TrivialIdeal(), list(cands) + sorted(far)
+
+
+def _zmod_case(data):
+    g = ZModGroup(data.draw(st.integers(1, 30), label="N"))
+    A = g.set_of(data.draw(st.sets(st.integers(0, g.size - 1), min_size=1, max_size=6), label="A"))
+    cands = data.draw(st.lists(st.integers(-40, 40), unique_by=lambda c: c, max_size=14), label="cands")
+    return A, TrivialIdeal(), cands
+
+
+def _cayley_case(data):
+    n = 10
+    g = CayleyGroup([[(x + y) % n for y in range(n)] for x in range(n)], 0)
+    A = g.set_of(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), label="A"))
+    return A, TrivialIdeal(), list(range(n))
+
+
+def _general_window_case(data):
+    g = ZWindowGroup(Window(0, 99, margin=10))
+    A = g.set_of(data.draw(st.sets(st.integers(0, 99), min_size=1, max_size=30), label="A"))
+    ideals = [FiniteSetsIdeal(cutoff=2), DensityZeroIdeal(lengths=(8, 16), threshold=Fraction(1, 4))]
+    ideal = data.draw(st.sampled_from(ideals), label="ideal")
+    return A, ideal, list(range(11))
+
+
+_PAIR_CASES = {
+    "z-window-pairs": _zwindow_case,
+    "z-mod-pairs": _zmod_case,
+    "cayley": _cayley_case,
+    "general": _general_window_case,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_CASES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_rows_match_is_edge(kind, data):
+    A, ideal, cands = _PAIR_CASES[kind](data)
+    m = len(cands)
+    bulk = ConflictOracle(A, ideal, cands, 2)
+    if kind.endswith("-pairs"):
+        assert bulk._mode == kind
+    order, rows = bulk.pair_rows()
+    ref = ConflictOracle(A, ideal, cands, 2)
+    adj = [[False] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        adj[i][j] = adj[j][i] = ref.is_edge((i, j))
+    deg = [sum(r) for r in adj]
+    assert order == sorted(range(m), key=lambda i: (-deg[i], i))
+    for p, i in enumerate(order):
+        assert rows[p] == sum(1 << q for q, j in enumerate(order) if adj[i][j])
+    assert bulk.edges_evaluated == ref.edges_evaluated
+
+
+# -- the searches vs frozen copies of their recursive form ----------------------
+
+
+def _recursive_exact_pairs(oracle, m, node_budget):
+    """The pair search as it was before the explicit stack (its recursion
+    limit guard dropped: these inputs stay far below the default limit)."""
+    adj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if oracle.is_edge((i, j)):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    deg = [a.bit_count() for a in adj]
+    order = sorted(range(m), key=lambda i: (-deg[i], i))
+    pos_of = [0] * m
+    for p, i in enumerate(order):
+        pos_of[i] = p
+    padj = [0] * m
+    for i in range(m):
+        row = 0
+        for j in bitops.iter_bits(adj[i]):
+            row |= 1 << pos_of[j]
+        padj[pos_of[i]] = row
+
+    seed: list[int] = []
+    seed_mask_p = 0
+    for i in range(m):
+        p = pos_of[i]
+        if not (padj[p] & seed_mask_p):
+            seed.append(i)
+            seed_mask_p |= 1 << p
+
+    best = list(pos_of[i] for i in seed)
+    nodes = 0
+    budget_hit = False
+
+    def expand(cur, rem):
+        nonlocal best, nodes, budget_hit
+        while rem:
+            if budget_hit:
+                return
+            if len(cur) + rem.bit_count() <= len(best):
+                return
+            nodes += 1
+            if nodes > node_budget:
+                budget_hit = True
+                return
+            low = rem & -rem
+            p = low.bit_length() - 1
+            cur.append(p)
+            if len(cur) > len(best):
+                best = list(cur)
+            expand(cur, rem & ~low & ~padj[p])
+            cur.pop()
+            rem &= ~low
+
+    expand([], bitops.mask(m))
+    return sorted(order[p] for p in best), budget_hit, nodes
+
+
+def _recursive_exact_hyper(oracle, m, n, node_budget):
+    """The hypergraph search as it was before the explicit stack."""
+    edges_with = {i: [] for i in range(m)}
+    degree = [0] * m
+    for combo in itertools.combinations(range(m), n):
+        if oracle.is_edge(combo):
+            fs = frozenset(combo)
+            for i in combo:
+                edges_with[i].append(fs)
+                degree[i] += 1
+    order = sorted(range(m), key=lambda i: (-degree[i], i))
+
+    def feasible(cur_set, i):
+        for e in edges_with[i]:
+            if e <= cur_set | {i}:
+                return False
+        return True
+
+    seed: list[int] = []
+    for i in range(m):
+        if feasible(frozenset(seed), i):
+            seed.append(i)
+
+    best = list(seed)
+    nodes = 0
+    budget_hit = False
+
+    def expand(cur, start_pos):
+        nonlocal best, nodes, budget_hit
+        for p in range(start_pos, m):
+            if budget_hit:
+                return
+            if len(cur) + (m - p) <= len(best):
+                return
+            nodes += 1
+            if nodes > node_budget:
+                budget_hit = True
+                return
+            i = order[p]
+            if feasible(frozenset(cur), i):
+                cur.append(i)
+                if len(cur) > len(best):
+                    best = list(cur)
+                expand(cur, p + 1)
+                cur.pop()
+
+    expand([], 0)
+    return sorted(best), budget_hit, nodes
+
+
+_BUDGETS = [0, 1, 3, 100, math.inf]
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_CASES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_pair_search_matches_recursive_form(kind, data):
+    A, ideal, cands = _PAIR_CASES[kind](data)
+    m = len(cands)
+    for budget in _BUDGETS:
+        new, old = ConflictOracle(A, ideal, cands, 2), ConflictOracle(A, ideal, cands, 2)
+        got = _exact_pairs(new, m, budget)
+        want = _recursive_exact_pairs(old, m, budget)
+        assert (got, new.edges_evaluated) == (want, old.edges_evaluated)
+
+
+@given(
+    st.integers(6, 16),
+    st.sets(st.integers(0, 15), min_size=1, max_size=5),
+    st.sampled_from([3, 4]),
+)
+@settings(max_examples=40, deadline=None)
+def test_hyper_search_matches_recursive_form(N, ps, n):
+    g = ZModGroup(N)
+    A = g.set_of([p % N for p in ps])
+    for budget in _BUDGETS:
+        new, old = ConflictOracle(A, TrivialIdeal(), range(N), n), ConflictOracle(A, TrivialIdeal(), range(N), n)
+        got = _exact_hyper(new, N, n, budget)
+        want = _recursive_exact_hyper(old, N, n, budget)
+        assert (got, new.edges_evaluated) == (want, old.edges_evaluated)
+
+
+def test_deep_search_leaves_recursion_limit_alone():
+    # translates of {0, 1} conflict exactly when the shifts are adjacent: a
+    # path on 3,000 candidates, which the search descends about 1,500 deep
+    g = ZWindowGroup(Window(0, 9999, margin=3000))
+    A = g.set_of([0, 1])
+    limit = sys.getrecursionlimit()
+    r = pack_exact(A, TrivialIdeal(), list(range(3000)), 2, node_budget=5000)
+    assert sys.getrecursionlimit() == limit
+    assert r.value == 1500
+    assert r.family == list(range(0, 3000, 2))
+    assert r.stats["nodes"] <= 5000 + 1
 
 
 # -- exact search vs brute force -----------------------------------------------
