@@ -16,6 +16,7 @@ __all__ = [
     "mask",
     "bits_from_positions",
     "positions_from_bits",
+    "position_chunks",
     "bit_array",
     "bits_from_array",
     "sorted_unique",
@@ -46,9 +47,44 @@ def positions_from_bits(bits: int, size: int) -> np.ndarray:
     """Sorted int64 array of set-bit indices."""
     if bits == 0:
         return np.empty(0, dtype=np.int64)
-    nbytes = (size + 7) // 8
-    buf = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.nonzero(np.unpackbits(buf, bitorder="little", count=size))[0].astype(np.int64)
+    if size > _STEP:
+        return np.concatenate(list(position_chunks(bits, 0, size - 1, _STEP)))
+    # on a small universe one unpacking pass costs less than skipping words
+    buf = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(buf, bitorder="little", count=size).view(bool).nonzero()[0]
+
+
+def position_chunks(bits: int, lo: int, hi: int, step: int) -> Iterator[np.ndarray]:
+    """Sorted set-bit indices in [lo, hi], relative to lo, in order: nonempty
+    int64 arrays of at most ``step`` entries (a multiple of 64).
+
+    The range is read as 64-bit words and only the nonzero words are
+    unpacked, so a sparse set costs little more than one scan of its words.
+    """
+    n = hi - lo + 1
+    window = bits >> lo
+    if window.bit_length() > n:
+        window &= mask(n)
+    words = np.frombuffer(window.to_bytes((n + 63) // 64 * 8, "little"), dtype="<u8")
+    for first in range(0, words.size, step):
+        nz = words[first : first + step].nonzero()[0] + first
+        for part in range(0, nz.size, step // 64):
+            held = nz[part : part + step // 64]
+            if held[-1] - held[0] < held.size:
+                # no zero word in between: unpack the span as it lies
+                at = _unpack(words[held[0] : held[-1] + 1]).nonzero()[0]
+                yield at + held[0] * 64
+            else:
+                at = _unpack(words[held]).nonzero()[0]
+                yield held[at >> 6] * 64 + (at & 63)
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """Bool array of the bits of little-endian 64-bit words, low bit first."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+
+
+_STEP = 1 << 14
 
 
 def bit_array(bits: int, size: int) -> np.ndarray:

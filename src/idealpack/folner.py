@@ -117,13 +117,6 @@ def folner_set(test_set: Sequence, n: int, group: Group) -> FolnerCertificate:
     return cert
 
 
-def _spiral_values(bound: int):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
 def avoid_translate(
     cert: FolnerCertificate,
     A: MaterializedSet,
@@ -145,15 +138,21 @@ def avoid_translate(
         raise AvoidanceNotFound(0)
     if bound is None:
         bound = max(abs(w.lo), abs(w.hi))
+    reach = max(bound, 0)
+    y_lo, y_hi = max(w.lo, -reach), min(w.hi - L + 1, reach)
+    # a translate [y, y+L) misses A exactly when y lies in [p+1, q-L] for
+    # consecutive elements p < q; y_lo - 1 and y_hi + L stand in for the
+    # elements beyond the candidates' reach
     pos = bitops.positions_from_bits(A.bits, group.size) + w.lo
-    for y in _spiral_values(bound):
-        if y < w.lo or y + L - 1 > w.hi:
-            continue
-        left = np.searchsorted(pos, y, side="left")
-        right = np.searchsorted(pos, y + L, side="left")
-        if left == right:
-            return int(y)
-    raise AvoidanceNotFound(bound)
+    near = np.searchsorted(pos, (y_lo, y_hi + L))
+    edges = np.concatenate(([y_lo - 1], pos[near[0] : near[1]], [y_hi + L]))
+    gaps = np.flatnonzero(np.diff(edges) > L)
+    if gaps.size == 0:
+        raise AvoidanceNotFound(bound)
+    # each gap's y nearest 0; the spiral order 0, 1, -1, 2, -2, ... takes
+    # the least |y| among them, the positive one on a tie
+    ys = np.clip(0, edges[gaps] + 1, edges[gaps + 1] - L)
+    return int(ys[np.argmin(2 * np.abs(ys) + (ys < 0))])
 
 
 @dataclass

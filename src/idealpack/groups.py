@@ -48,8 +48,8 @@ __all__ = [
     "FreeGroup2",
     "Group",
     "MaterializedSet",
-    "make_group",
     "load_cayley_table",
+    "spiral_shifts",
 ]
 
 
@@ -409,6 +409,15 @@ class FreeGroup2(_GroupBase):
 
 Group = Union[ZWindowGroup, ZModGroup, CayleyGroup, FreeGroup2]
 
+
+def spiral_shifts(s: int) -> list[int]:
+    """0, 1, -1, 2, -2, ..., s, -s: the order in which shifts are tried."""
+    out = [0]
+    for v in range(1, s + 1):
+        out.extend((v, -v))
+    return out
+
+
 _MAP_SLICE = 1 << 16
 
 
@@ -421,23 +430,6 @@ def _gather_translate(index_maps: Sequence[np.ndarray], pos: np.ndarray, size: i
         pos = index_map[pos]
         pos = pos[pos >= 0]
     return bitops.bits_from_positions(pos, size), before - pos.size
-
-
-def make_group(kind: str, **params) -> Group:
-    """Factory used by the CLI and config loader."""
-    if kind == "z-window":
-        if "window" in params:
-            return ZWindowGroup(params["window"])
-        return ZWindowGroup(
-            Window(params["lo"], params["hi"], params.get("margin", 0))
-        )
-    if kind == "z-mod":
-        return ZModGroup(params["modulus"])
-    if kind == "cayley":
-        return CayleyGroup(params["table"], params["identity"])
-    if kind == "free-2":
-        return FreeGroup2(params["depth"])
-    raise InvalidParam(f"unknown group kind {kind!r}")
 
 
 def load_cayley_table(path: str | Path) -> CayleyGroup:

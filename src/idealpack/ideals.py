@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bitops
 from .errors import InvalidParam, KindMismatch, ScaleMismatch
-from .groups import Group, MaterializedSet, ZModGroup, ZWindowGroup
+from .groups import Group, MaterializedSet, ZModGroup, ZWindowGroup, spiral_shifts
 from .setexpr import SetExpr, Shift, materialize, print_set_expr, symbolic_finiteness
 
 __all__ = [
@@ -95,6 +95,12 @@ class Ideal:
         """Extra report fields this kind mandates (e.g. the N-proxy flag)."""
         return {}
 
+    def cardinality_cutoff(self) -> Optional[int]:
+        """c when a bare bitset X is a member exactly when |X| <= c (after the
+        checks ``member`` makes of the carrier); None when membership
+        depends on more than the count."""
+        return None
+
 
 class TrivialIdeal(Ideal):
     """I0 = {empty set}."""
@@ -103,6 +109,9 @@ class TrivialIdeal(Ideal):
 
     def member(self, A: MaterializedSet, expr: Optional[SetExpr] = None) -> bool:
         return A.bits == 0
+
+    def cardinality_cutoff(self) -> int:
+        return 0
 
 
 class FiniteSetsIdeal(Ideal):
@@ -134,6 +143,9 @@ class FiniteSetsIdeal(Ideal):
         if expr is not None:
             return symbolic_finiteness(expr) == "finite"
         return A.cardinality() <= self.cutoff
+
+    def cardinality_cutoff(self) -> int:
+        return self.cutoff
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "cutoff": self.cutoff}
@@ -213,7 +225,7 @@ class GeneratedIdeal(Ideal):
         if cached is None:
             cached = []
             for gi, gen in enumerate(self.generators):
-                for s in _spiral(self.shift_range):
+                for s in spiral_shifts(self.shift_range):
                     bits = materialize(Shift(gen, s), group).bits
                     cached.append((gi, s, bits))
             self._translate_cache[key] = cached
@@ -285,14 +297,6 @@ class StageIdeal(Ideal):
 
     def proxy_flags(self) -> dict:
         return self.base.proxy_flags()
-
-
-def _spiral(bound: int):
-    """0, 1, -1, 2, -2, ... out to ±bound."""
-    yield 0
-    for v in range(1, bound + 1):
-        yield v
-        yield -v
 
 
 def make_ideal(kind: str, **params) -> Ideal:

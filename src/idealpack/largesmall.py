@@ -20,18 +20,45 @@ On Z-mod-N every nonempty set is large (translate it around the cycle), so
 smallness there is decided directly: nonempty sets are not-small, the empty
 set is small.
 
-For sets on a Z window with the trivial ideal, the check runs on sorted
-position arrays instead of bitsets (identical semantics, tested as such): the
-complement of FA fails to be coverable by {0..k} exactly when FA contains a
-run of more than k consecutive integers meeting the evaluation core, so the
-minimal prefix is one plus the longest relevant run.
+Run lengths on Z windows.  When ideal membership of a bare bitset is a
+cardinality test (the trivial ideal, and ``finite-sets``: |X| <= cutoff), a
+prefix search on a Z window needs only run lengths.  A point x of an interval
+region [r0, r1] stays uncovered by {0..k} exactly when [x-k, x] lies inside
+one run of the uncovered set, so a run of length L, cut to the region, leaves
+max(0, L-k) such points.  :func:`residual_profile` gives the residual size
+for every depth at once from a histogram of the lengths and suffix sums; the
+answers are the bitset loop's, byte for byte.
+
+* Largeness reads the runs off the gaps of A inside the region.
+* Smallness reads them off FA, whose complement is the set to cover, cut to
+  the family's exact core.  The families of one size are rows of a 2-D array
+  (families x j|A'|), sorted row by row with runs read by value, in chunks
+  that start at one family and double up to ``_CHUNK_BYTES`` per int64
+  temporary; the scan stops at the first hard family.
+* A dense set (more than one position per 64-bit word of the window) has
+  about as many runs as elements, so there bitsets are cheaper.  Largeness
+  keeps the bitset loop, which stops at the first cover.  Smallness takes
+  each family in one bitset pass: the residual at depth k counts the
+  stretches of k+1 consecutive core positions inside FA, and binary
+  lifting finds the first depth whose residual fits the ideal.
+* Cluster compression gives A'.  A splits where consecutive elements lie more
+  than 2s+1 apart; translates of different clusters by shifts within +/-s
+  never touch, so the runs of FA are those of each cluster's.  A cluster
+  whose translates stay inside every family's core counts once per distinct
+  shape, weighted by how often the shape occurs; clusters near the window
+  edges stay as they are.  The trivial ideal needs only the longest run, so
+  only ``finite-sets`` uses the weights.
+
+Every other ideal, largeness on Z-mod-N, and the table carriers keep the
+bitset path: translates as bitsets, and ``Ideal.member`` on each residual.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +77,7 @@ from .groups import (
     MaterializedSet,
     ZModGroup,
     ZWindowGroup,
+    spiral_shifts,
 )
 from .ideals import Ideal, TrivialIdeal
 from .packing import _CACHE_BYTE_LIMIT
@@ -63,8 +91,18 @@ __all__ = [
     "is_large",
     "is_small",
     "is_ideal_small",
+    "residual_profile",
     "spiral_shifts",
 ]
+
+# Size in bytes of the largest int64 temporary the run-length paths build
+# per chunk; one smallness family wider than that is still taken whole.
+_CHUNK_BYTES = 1 << 17
+_CHUNK_ITEMS = _CHUNK_BYTES // 8
+
+# family outcomes, as codes in the smallness scan
+_OUTCOMES = ("large", "hard", "inconclusive")
+_LARGE, _HARD, _INCONCLUSIVE = range(3)
 
 
 @dataclass(frozen=True)
@@ -154,14 +192,6 @@ class SmallnessEvidence:
         return out
 
 
-def spiral_shifts(s: int) -> list[int]:
-    """0, 1, -1, 2, -2, ..., s, -s — the documented enumeration order."""
-    out = [0]
-    for v in range(1, s + 1):
-        out.extend((v, -v))
-    return out
-
-
 # --------------------------------------------------------------------------
 # gap profile
 # --------------------------------------------------------------------------
@@ -193,6 +223,52 @@ def gap_profile(A: MaterializedSet) -> Optional[int]:
 
 
 # --------------------------------------------------------------------------
+# run lengths
+# --------------------------------------------------------------------------
+
+def residual_profile(lengths, weights, K: int, row=None, nrows: int = 1) -> np.ndarray:
+    """Sum of w * max(0, L - k) over runs of lengths L and weights w, for
+    k = 0..K (weight 1 when ``weights`` is None).
+
+    With ``row`` (each run's profile index, below ``nrows``) the result is
+    one profile per row, shape (nrows, K+1).  Runs are binned by
+    min(L, K+1); those in the bins above k are exactly the runs longer than
+    k, and contribute sum(wL) - k * sum(w), so suffix sums over the K+2 bins
+    give every k at once.
+    """
+    L = np.asarray(lengths, dtype=np.int64)
+    w = np.ones_like(L) if weights is None else np.asarray(weights, dtype=np.int64)
+    bins = np.minimum(L, K + 1)
+    if row is not None:
+        bins += np.asarray(row) * (K + 2)
+    # bincount sums in float64, exactly: every sum here is far below 2**53
+    size = nrows * (K + 2)
+    tail_w = np.bincount(bins, weights=w, minlength=size).reshape(nrows, K + 2)
+    tail_wl = np.bincount(bins, weights=w * L, minlength=size).reshape(nrows, K + 2)
+    tail_w = np.cumsum(tail_w[:, ::-1], axis=1)[:, ::-1]
+    tail_wl = np.cumsum(tail_wl[:, ::-1], axis=1)[:, ::-1]
+    profile = (tail_wl[:, 1:] - np.arange(K + 1) * tail_w[:, 1:]).astype(np.int64)
+    return profile if row is not None else profile[0]
+
+
+def _dense(count: int, size: int) -> bool:
+    """Whether ``count`` positions on a window of ``size`` are cheaper as a
+    bitset than as an int64 array: more than one per 64-bit word."""
+    return 64 * count > size
+
+
+def _gap_lengths(bits: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Lengths of the runs of unset bits in [lo, hi], at most
+    ``_CHUNK_ITEMS`` at a time; the empty run between two adjacent set bits
+    counts as a 0."""
+    last = -1  # the last set bit so far, relative to lo
+    for ones in bitops.position_chunks(bits, lo, hi, _CHUNK_ITEMS):
+        yield np.diff(ones, prepend=last) - 1
+        last = int(ones[-1])
+    yield np.array([hi - lo - last])
+
+
+# --------------------------------------------------------------------------
 # largeness
 # --------------------------------------------------------------------------
 
@@ -209,26 +285,19 @@ def _prefix_large(
     """Minimal-prefix search on the integer kinds: try F = {0..k}, smallest k first."""
     group = A.group
     kmax = min(bounds.shift_range, bounds.max_f - 1)
-    if isinstance(group, ZWindowGroup) and kmax > group.window.margin:
-        raise RangeExceedsMargin(
-            f"prefix depth {kmax} exceeds the declared margin {group.window.margin}"
-        )
-    acc = 0
-    # x is certifiable at prefix depth k only when the whole covering window
-    # [x-k, x] sits inside the trusted region, so the region erodes as k grows
-    eroded = region_mask
+    steps = None
+    if isinstance(group, ZWindowGroup):
+        if kmax > group.window.margin:
+            raise RangeExceedsMargin(
+                f"prefix depth {kmax} exceeds the declared margin {group.window.margin}"
+            )
+        steps = _gap_steps(A, ideal, kmax, region_mask)
+    if steps is None:
+        steps = _bitset_steps(A, ideal, kmax, region_mask)
     best_size: Optional[int] = None
     best_k = 0
-    for k in range(kmax + 1):
-        tb, _ = group.translate_bits(k, A.bits)
-        acc |= tb
-        if k > 0:
-            eroded &= group.translate_bits(k, region_mask)[0]
-        if eroded == 0:
-            break  # nothing left to certify on; deeper prefixes only erode more
-        residual_bits = eroded & ~acc
-        size = residual_bits.bit_count()
-        if ideal.member(MaterializedSet(group, residual_bits)):
+    for k, size, member in steps:
+        if member:
             return LargenessWitness(
                 family=list(range(k + 1)),
                 residual_size=size,
@@ -243,6 +312,53 @@ def _prefix_large(
         best_family=list(range(best_k + 1)),
         best_residual_size=best_size,
     )
+
+
+def _bitset_steps(A: MaterializedSet, ideal: Ideal, kmax: int, region_mask: int):
+    """(k, residual size, residual in the ideal) for the prefixes {0..k}, by
+    translating bitsets."""
+    group = A.group
+    acc = 0
+    # x is certifiable at prefix depth k only when the whole covering window
+    # [x-k, x] sits inside the trusted region, so the region erodes as k grows
+    eroded = region_mask
+    for k in range(kmax + 1):
+        tb, _ = group.translate_bits(k, A.bits)
+        acc |= tb
+        if k > 0:
+            eroded &= group.translate_bits(k, region_mask)[0]
+        if eroded == 0:
+            return  # nothing left to certify on; deeper prefixes only erode more
+        residual_bits = eroded & ~acc
+        yield k, residual_bits.bit_count(), ideal.member(MaterializedSet(group, residual_bits))
+
+
+def _gap_steps(A: MaterializedSet, ideal: Ideal, kmax: int, region_mask: int) -> Optional[list]:
+    """``_bitset_steps`` up to the first member, from the gaps of A on a Z
+    window; None unless the ideal is a cardinality test, the region an
+    interval of the window and A sparse (a dense A has as many gaps as
+    elements, while each bitset step costs one pass over the words and the
+    loop stops at the first cover)."""
+    cutoff = ideal.cardinality_cutoff()
+    size = A.group.size
+    if cutoff is None or region_mask >> size or _dense(A.bits.bit_count(), size):
+        return None
+    if region_mask == 0:
+        return []
+    r0 = (region_mask & -region_mask).bit_length() - 1
+    r1 = region_mask.bit_length() - 1
+    if region_mask >> r0 != bitops.mask(r1 - r0 + 1):
+        return None
+    ideal.member(A.group.empty_set())  # the usage errors of the first bitset step
+    # depth k certifies on [r0+k, r1], which is empty past r1 - r0
+    depth = min(kmax, r1 - r0)
+    profile = sum(residual_profile(gaps, None, depth) for gaps in _gap_lengths(A.bits, r0, r1))
+    steps = []
+    for k, size in enumerate(profile.tolist()):
+        steps.append((k, size, size <= cutoff))
+        if size <= cutoff:
+            break
+    return steps
 
 
 def _greedy_large(
@@ -379,43 +495,166 @@ def _zmod_smallness(A: MaterializedSet, ideal: Ideal, bounds: SmallBounds) -> Sm
     )
 
 
-class _FastZChecker:
-    """Position-array evaluation of 'complement of FA is large' for the
-    trivial ideal on a Z window; semantics mirror the bitset path exactly."""
+def _compress(pos: np.ndarray, s: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A' for shifts within +/-s: (its positions, the least value each of
+    its clusters reaches by a shift, each cluster's weight).
 
-    def __init__(self, A: MaterializedSet, inner: LargeBounds):
-        group = A.group
-        self.size = group.size
-        self.positions = bitops.positions_from_bits(A.bits, self.size)
+    Clusters are split at gaps wider than 2s+1.  A cluster whose translates
+    stay inside [s, size-1-s], which every family's core contains, is kept
+    once per distinct shape (its first copy), weighted by the number of
+    copies; the clusters near the window edges are kept as they are.
+    """
+    if pos.size == 0:
+        return pos, pos, pos
+    cut = np.flatnonzero(np.diff(pos) > 2 * s + 1) + 1
+    first = np.concatenate(([0], cut))
+    count = np.diff(np.concatenate((first, [pos.size])))
+    interior = (pos[first] >= 2 * s) & (pos[first + count - 1] <= size - 1 - 2 * s)
+    keep = ~interior
+    weight = np.ones(first.size, dtype=np.int64)
+    for c in bitops.sorted_unique(count[interior]).tolist():
+        ids = np.flatnonzero(interior & (count == c))
+        shape = pos[first[ids, None] + np.arange(c)] - pos[first[ids], None]
+        # a stable sort of the shapes puts each shape's first copy first
+        order = np.lexsort(shape.T[::-1])
+        shape = shape[order]
+        new = np.ones(ids.size, dtype=bool)
+        new[1:] = np.any(shape[1:] != shape[:-1], axis=1)
+        heads = ids[order[new]]
+        keep[heads] = True
+        weight[heads] = np.diff(np.append(np.flatnonzero(new), ids.size))
+    return pos[np.repeat(keep, count)], pos[first[keep]] - s, weight[keep]
+
+
+class _ZRuns:
+    """Families on a Z window under a cardinality ideal (cutoff 0 for the
+    trivial ideal), decided from the runs of FA on the family's exact core;
+    the verdicts of ``_general_family_check``.
+
+    Sparse families go a 2-D chunk at a time through position rows of the
+    compressed A'.  When a row would hold more than one entry per 64 window
+    positions, bitsets are cheaper: each family then takes one bitset pass.
+    """
+
+    def __init__(self, A: MaterializedSet, cutoff: int, s: int, inner: LargeBounds):
+        self.group = A.group
+        self.bits = A.bits
+        self.size = A.group.size
+        self.cutoff = cutoff
         self.kmax = min(inner.shift_range, inner.max_f - 1)
+        pos = bitops.positions_from_bits(A.bits, self.size)
+        self.pos, self.reach, self.weight = _compress(pos, s, self.size)
 
-    def check(self, F: Sequence[int]) -> tuple[str, int]:
-        """('large', k) | ('hard', 0) | ('inconclusive', 0) for the family F."""
-        size = self.size
-        region_lo = max(0, max(F))
-        region_hi = size - 1 + min(0, min(F))
-        if region_hi < region_lo:
-            # no exact core at all: nothing can be certified
-            return ("inconclusive", 0)
-        if len(F) == 1:
-            fa = self.positions + F[0]  # a single translate is already sorted and distinct
-        else:
-            fa = bitops.sorted_unique(np.concatenate([self.positions + f for f in F]))
-        win_lo, win_hi, core_lo, core_hi = np.searchsorted(fa, (0, size, region_lo, region_hi + 1))
-        if win_lo == win_hi:
-            return ("large", 0)
-        core = fa[core_lo:core_hi]
-        if core.size == region_hi - region_lo + 1:
-            # FA swallows the whole core: its complement is in the trivial
-            # ideal, hence provably never large
-            return ("hard", 0)
-        # a prefix {0..k} covers the complement on the core exactly when k
-        # reaches the longest run of FA inside the core
-        run_ends = np.flatnonzero(np.diff(core) > 1)
-        kstar = int(np.diff(run_ends, prepend=-1, append=core.size - 1).max())
-        if kstar <= self.kmax:
-            return ("large", kstar)
-        return ("inconclusive", 0)
+    def dense(self, j: int) -> bool:
+        return _dense(j * self.pos.size, self.size)
+
+    def row_items(self, j: int) -> int:
+        """int64 entries per family in the widest temporary of ``check``."""
+        if self.dense(j):
+            return _CHUNK_ITEMS
+        return max(1, j * self.pos.size, self.kmax + 2 if self.cutoff else 0)
+
+    def check(self, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(outcome code, prefix k) for each family, a row of ``shifts``."""
+        n, j = shifts.shape
+        lo = np.maximum(shifts.max(axis=1), 0)
+        hi = self.size - 1 + np.minimum(shifts.min(axis=1), 0)
+        if self.pos.size == 0:
+            # FA is empty, and {0} covers its complement
+            return np.full(n, _LARGE), np.zeros(n, dtype=np.int64)
+        if self.dense(j):
+            found = [self._check_bits(F, a, b) for F, a, b in zip(shifts.tolist(), lo.tolist(), hi.tolist())]
+            return np.array([o for o, _ in found]), np.array([k for _, k in found])
+        return self._check_rows(shifts, lo, hi)
+
+    def _check_rows(self, shifts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``check`` on position rows, for a nonempty A'."""
+        n, j = shifts.shape
+        core = hi - lo + 1
+        fa = (shifts[:, :, None] + self.pos).reshape(n, j * self.pos.size)
+        if j > 1:
+            fa.sort(axis=1, kind="stable")
+        # the runs of FA by value (a duplicate never breaks one), cut to
+        # each row's core; a run outside the core keeps length 0
+        brk = fa[:, 1:] - fa[:, :-1] > 1
+        head = np.ones(fa.shape, dtype=bool)
+        head[:, 1:] = brk
+        tail = np.ones(fa.shape, dtype=bool)
+        tail[:, :-1] = brk
+        start = fa[head]
+        runs = head.sum(axis=1)
+        row = np.repeat(np.arange(n), runs)
+        L = np.minimum(fa[tail], hi[row]) - np.maximum(start, lo[row]) + 1
+        np.maximum(L, 0, out=L)
+        seg = np.cumsum(runs) - runs
+        if self.cutoff == 0:
+            longest = np.maximum.reduceat(L, seg)
+            outcome = np.where(longest == core, _HARD, np.where(longest <= self.kmax, _LARGE, _INCONCLUSIVE))
+            return outcome, np.where(outcome == _LARGE, longest, 0)
+        w = self.weight[np.searchsorted(self.reach, start, side="right") - 1]
+        covered = np.add.reduceat(w * L, seg)
+        # depth k certifies on [lo+k, hi]
+        deepest = np.minimum(self.kmax, core - 1)
+        profile = residual_profile(L, w, int(deepest.max()), row, n)
+        fits = (profile <= self.cutoff) & (np.arange(profile.shape[1]) <= deepest[:, None])
+        large = fits.any(axis=1)
+        outcome = np.where(large, _LARGE, np.where(core - covered <= self.cutoff, _HARD, _INCONCLUSIVE))
+        return outcome, np.where(large, fits.argmax(axis=1), 0)
+
+    def _check_bits(self, F: list, lo: int, hi: int) -> tuple[int, int]:
+        """``check`` of one family on bitsets.
+
+        Bit x of E_t is set when FA holds x..x+t-1 on the core, so |E_{k+1}|
+        is the residual at depth k; E_{a+b} = E_a & (E_b >> a) lets binary
+        lifting find the largest t <= deepest+1 with |E_t| > cutoff, and
+        the family is large at k = t when t <= deepest.
+        """
+        acc = 0
+        for f in F:
+            acc |= self.group.translate_bits(f, self.bits)[0]
+        R = hi - lo + 1
+        x = (acc >> lo) & bitops.mask(R)
+        deepest = min(self.kmax, R - 1)
+        powers = [x]  # E_1, E_2, E_4, ...
+        while 2 << (len(powers) - 1) <= deepest + 1:
+            e = powers[-1]
+            powers.append(e & (e >> (1 << (len(powers) - 1))))
+        t, et = 0, None
+        for i in reversed(range(len(powers))):
+            if t + (1 << i) > deepest + 1:
+                continue
+            cand = powers[i] if et is None else et & (powers[i] >> t)
+            if cand.bit_count() > self.cutoff:
+                t, et = t + (1 << i), cand
+        if t <= deepest:
+            return _LARGE, t
+        return (_HARD if R - x.bit_count() <= self.cutoff else _INCONCLUSIVE), 0
+
+
+def _run_chunks(runs: _ZRuns, pool: list, m: int):
+    """(index combos, outcomes, ks) for the families of sizes 1..m in
+    enumeration order, a chunk at a time: chunks start at one family, so an
+    early counterexample costs little, and double up to ``_CHUNK_ITEMS``."""
+    shifts = np.array(pool, dtype=np.int64)
+    for j in range(1, m + 1):
+        combos = itertools.combinations(range(len(pool)), j)
+        limit = max(1, _CHUNK_ITEMS // runs.row_items(j))
+        rows = 1
+        while True:
+            chunk = itertools.chain.from_iterable(itertools.islice(combos, rows))
+            block = np.fromiter(chunk, dtype=np.int64).reshape(-1, j)
+            if block.shape[0] == 0:
+                break
+            yield (block, *runs.check(shifts[block]))
+            rows = min(2 * rows, limit)
+
+
+def _general_chunks(A: MaterializedSet, ideal: Ideal, pool: list, bounds: SmallBounds):
+    """``_run_chunks`` one family at a time, by ``_general_family_check``."""
+    for j in range(1, bounds.m + 1):
+        for combo in itertools.combinations(range(len(pool)), j):
+            outcome, k = _general_family_check(A, ideal, [pool[i] for i in combo], bounds.inner)
+            yield [combo], np.array([_OUTCOMES.index(outcome)]), np.array([k])
 
 
 def _general_family_check(
@@ -452,48 +691,54 @@ def is_ideal_small(
     group = A.group
     if isinstance(group, ZModGroup):
         return _zmod_smallness(A, ideal, bounds)
+    cutoff = None
     if isinstance(group, ZWindowGroup):
         needed = max(bounds.s, min(bounds.inner.shift_range, bounds.inner.max_f - 1))
         if needed > group.window.margin:
             raise RangeExceedsMargin(
                 f"smallness bounds need shifts up to {needed}, margin is {group.window.margin}"
             )
+        cutoff = ideal.cardinality_cutoff()
     pool = _family_pool(group, bounds.s)
-    total = sum(_ncomb(len(pool), j) for j in range(1, bounds.m + 1))
+    total = sum(math.comb(len(pool), j) for j in range(1, bounds.m + 1))
     if total > bounds.cap:
         raise BudgetExceeded(
             f"{total} families exceed the enumeration cap {bounds.cap}"
         )
-    fast = isinstance(group, ZWindowGroup) and ideal.kind == "trivial"
-    checker = _FastZChecker(A, bounds.inner) if fast else None
+    if cutoff is not None:
+        ideal.member(group.empty_set())  # the usage errors of the first family's check
+        chunks = _run_chunks(_ZRuns(A, cutoff, bounds.s, bounds.inner), pool, bounds.m)
+    else:
+        chunks = _general_chunks(A, ideal, pool, bounds)
+
+    def family(combo) -> list:
+        F = [pool[i] for i in combo]
+        return sorted(F) if isinstance(F[0], int) else F
 
     tested = 0
     worst = 0
     first_inconclusive: Optional[list] = None
-    for size in range(1, bounds.m + 1):
-        for combo in itertools.combinations(range(len(pool)), size):
-            F = [pool[i] for i in combo]
-            tested += 1
-            if checker is not None:
-                outcome, k = checker.check(F)
-            else:
-                outcome, k = _general_family_check(A, ideal, F, bounds.inner)
-            if outcome == "large":
-                worst = max(worst, k)
-            elif outcome == "hard":
-                return SmallnessEvidence(
-                    verdict="not-small",
-                    counterexample=sorted(F) if isinstance(F[0], int) else list(F),
-                    m=bounds.m,
-                    s=bounds.s,
-                    inner=bounds.inner,
-                    families_tested=tested,
-                    worst_prefix=worst,
-                    ideal=ideal.descriptor(),
-                )
-            else:
-                if first_inconclusive is None:
-                    first_inconclusive = sorted(F) if isinstance(F[0], int) else list(F)
+    for combos, outcome, ks in chunks:
+        hard = np.flatnonzero(outcome == _HARD)
+        stop = int(hard[0]) if hard.size else outcome.size
+        seen = outcome[:stop]
+        worst = max(worst, int(ks[:stop][seen == _LARGE].max(initial=0)))
+        if first_inconclusive is None:
+            undecided = np.flatnonzero(seen == _INCONCLUSIVE)
+            if undecided.size:
+                first_inconclusive = family(combos[undecided[0]])
+        tested += stop
+        if hard.size:
+            return SmallnessEvidence(
+                verdict="not-small",
+                counterexample=family(combos[stop]),
+                m=bounds.m,
+                s=bounds.s,
+                inner=bounds.inner,
+                families_tested=tested + 1,
+                worst_prefix=worst,
+                ideal=ideal.descriptor(),
+            )
     verdict = "small-at-scale" if first_inconclusive is None else "inconclusive"
     return SmallnessEvidence(
         verdict=verdict,
@@ -510,9 +755,3 @@ def is_ideal_small(
 
 def is_small(A: MaterializedSet, bounds: SmallBounds = SmallBounds()) -> SmallnessEvidence:
     return is_ideal_small(A, TrivialIdeal(), bounds)
-
-
-def _ncomb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)

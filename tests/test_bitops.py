@@ -9,6 +9,7 @@ from idealpack.bitops import (
     bits_from_positions,
     iter_bits,
     mask,
+    position_chunks,
     positions_from_bits,
     sorted_unique,
 )
@@ -61,3 +62,34 @@ def test_sorted_unique_matches_set(xs):
     got = sorted_unique(np.array(xs, dtype=np.int64))
     assert got.dtype == np.int64
     assert got.tolist() == sorted(set(xs))
+
+
+@given(st.data())
+def test_position_chunks_cover_the_range(data):
+    # sparse and dense stretches, words skipped and words in a row, ranges
+    # that start and end inside a word
+    size = data.draw(st.integers(1, 2000))
+    ps = data.draw(st.sets(st.integers(0, size - 1), max_size=300))
+    ps |= set(range(data.draw(st.integers(0, size - 1)), size, data.draw(st.integers(1, 3))))
+    bits = bits_from_positions(ps, size) | (1 << size + 5)  # a bit past the range
+    lo = data.draw(st.integers(0, size - 1))
+    hi = data.draw(st.integers(lo, size - 1))
+    step = 64 * data.draw(st.integers(1, 4))
+    chunks = list(position_chunks(bits, lo, hi, step))
+    assert all(0 < c.size <= step and c.dtype == np.int64 for c in chunks)
+    got = np.concatenate(chunks).tolist() if chunks else []
+    assert got == [p - lo for p in sorted(ps) if lo <= p <= hi]
+    assert positions_from_bits(bits & mask(size), size).tolist() == sorted(ps)
+
+
+def test_positions_from_bits_on_a_large_universe():
+    # past the one-pass size: sparse words, a dense stretch, the last word
+    rng = np.random.default_rng(3)
+    size = 70_001
+    for arr in (rng.random(size) < 0.001, rng.random(size) < 0.6, np.arange(size) % 3 == 0):
+        arr[30_000:30_500] = True
+        arr[-1] = True
+        bits = bits_from_array(arr.astype(np.uint8))
+        got = positions_from_bits(bits, size)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.flatnonzero(arr).tolist()

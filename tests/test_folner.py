@@ -90,6 +90,39 @@ def test_avoid_translate_fails_on_dense_set():
         avoid_translate(cert, evens, bound=5000)
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_avoid_translate_matches_spiral_scan(data):
+    # the spiral scan the gap search replaced: y = 0, 1, -1, 2, -2, ... up to
+    # the bound, the first translate inside the window that misses A
+    lo = data.draw(st.integers(-120, 60))
+    g = ZWindowGroup(Window(lo, lo + data.draw(st.integers(0, 200))))
+    A = g.set_of(data.draw(st.sets(st.integers(g.window.lo, g.window.hi), max_size=40)))
+    cert = folner_set(data.draw(st.sampled_from([[], [1], [2], [1, -3]])), data.draw(st.integers(1, 5)), g)
+    bound = data.draw(st.one_of(st.none(), st.integers(-2, 250)))
+    reach = max(abs(g.window.lo), abs(g.window.hi)) if bound is None else bound
+    elems = set(A.elements())
+    want = None
+    if cert.length <= g.size:
+        for y in [0] + [v for k in range(1, reach + 1) for v in (k, -k)]:
+            inside = g.window.lo <= y and y + cert.length - 1 <= g.window.hi
+            if inside and not elems.intersection(range(y, y + cert.length)):
+                want = y
+                break
+    try:
+        got = avoid_translate(cert, A, bound)
+    except AvoidanceNotFound:
+        got = None
+    assert got == want
+
+
+def test_avoid_translate_prefers_positive_on_a_tie():
+    g = ZWindowGroup(Window(-10, 10))
+    cert = folner_set([], 4, g)  # L = 1
+    assert avoid_translate(cert, g.set_of([0])) == 1
+    assert avoid_translate(cert, g.set_of([-1, 0, 1])) == 2
+
+
 # -- the measure stage --------------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ from idealpack.groups import (
     Window,
     ZModGroup,
     ZWindowGroup,
-    make_group,
 )
 from idealpack.words import ball_size, enumerate_ball, mul_words, word_at_rank, word_rank
 
@@ -199,14 +198,6 @@ def test_free_group_core_mask_is_prefix():
     g = FreeGroup2(4)
     core = g.exact_core_mask(["b", "ab"])  # max length 2 -> ball of radius 2
     assert core == (1 << ball_size(2)) - 1
-
-
-def test_make_group():
-    assert make_group("z-window", lo=0, hi=9, margin=1).size == 10
-    assert make_group("z-mod", modulus=7).size == 7
-    assert make_group("free-2", depth=3).size == ball_size(3)
-    with pytest.raises(InvalidParam):
-        make_group("nope")
 
 
 def test_set_algebra_and_scale_mismatch():

@@ -1,19 +1,34 @@
 """Largeness witnesses and smallness evidence."""
 
 import itertools
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealpack.errors import InvalidParam, NotFoundAtScale, RangeExceedsMargin
-from idealpack.groups import Window, ZModGroup, ZWindowGroup
-from idealpack.ideals import DensityZeroIdeal, TrivialIdeal
+from idealpack.errors import (
+    BudgetExceeded,
+    IdealpackError,
+    InvalidParam,
+    NotFoundAtScale,
+    RangeExceedsMargin,
+)
+from idealpack.groups import MaterializedSet, Window, ZModGroup, ZWindowGroup
+from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.largesmall import (
+    _OUTCOMES,
     LargeBounds,
+    LargenessWitness,
     SmallBounds,
+    SmallnessEvidence,
+    _gap_steps,
+    _general_family_check,
+    _ZRuns,
     gap_profile,
     is_ideal_small,
     is_large,
+    residual_profile,
     spiral_shifts,
 )
 
@@ -126,27 +141,311 @@ def test_zmod_smallness_matches_window_intuition():
     assert ev2.verdict == "not-small"
 
 
-# -- the fast window checker agrees with the general path -----------------------
+# -- the run-length paths agree with the bitset loop ---------------------------------
+#
+# Frozen copies of the bitset code the run-length paths replaced on Z windows:
+# the prefix loop of ``_prefix_large`` and the family loop of
+# ``is_ideal_small``, with a family checked by translating bitsets.
 
 
-# every family is_ideal_small enumerates for m <= 3, s = 4: negative shifts
-# and translates that overlap one another
-_SPIRAL_FAMILIES = [
-    list(F) for size in (1, 2, 3) for F in itertools.combinations(spiral_shifts(4), size)
-]
+def _frozen_prefix_large(A, ideal, bounds, region_mask):
+    group = A.group
+    kmax = min(bounds.shift_range, bounds.max_f - 1)
+    if kmax > group.window.margin:
+        raise RangeExceedsMargin(f"prefix depth {kmax} exceeds the declared margin {group.window.margin}")
+    acc = 0
+    eroded = region_mask
+    best_size: Optional[int] = None
+    best_k = 0
+    for k in range(kmax + 1):
+        tb, _ = group.translate_bits(k, A.bits)
+        acc |= tb
+        if k > 0:
+            eroded &= group.translate_bits(k, region_mask)[0]
+        if eroded == 0:
+            break
+        residual_bits = eroded & ~acc
+        size = residual_bits.bit_count()
+        if ideal.member(MaterializedSet(group, residual_bits)):
+            return LargenessWitness(list(range(k + 1)), size, ideal.descriptor(), bounds, prefix_k=k)
+        if best_size is None or size < best_size:
+            best_size, best_k = size, k
+    raise NotFoundAtScale(
+        f"no covering prefix within k <= {kmax}",
+        best_family=list(range(best_k + 1)),
+        best_residual_size=best_size,
+    )
 
 
-@given(st.sets(st.integers(0, 79), min_size=0, max_size=40))
-@settings(max_examples=40, deadline=None)
-def test_fast_and_general_verdicts_agree(ps):
-    from idealpack.largesmall import _FastZChecker, _general_family_check
+def _frozen_family_check(A, ideal, F, inner):
+    group = A.group
+    acc = 0
+    for f in F:
+        acc |= group.translate_bits(f, A.bits)[0]
+    region = group.exact_core_mask(list(F))
+    complement_bits = group.full_mask & ~acc
+    try:
+        w = _frozen_prefix_large(MaterializedSet(group, complement_bits), ideal, inner, region)
+        return ("large", w.prefix_k)
+    except NotFoundAtScale:
+        if ideal.member(MaterializedSet(group, complement_bits & region)):
+            return ("hard", 0)
+        return ("inconclusive", 0)
 
-    g = ZWindowGroup(Window(0, 79, margin=8))
-    A = g.set_of(ps)
-    inner = LargeBounds(max_f=8, shift_range=8)
-    fast = _FastZChecker(A, inner)
-    for F in _SPIRAL_FAMILIES:
-        assert fast.check(F) == _general_family_check(A, TrivialIdeal(), F, inner), F
+
+def _frozen_is_ideal_small(A, ideal, bounds):
+    group = A.group
+    needed = max(bounds.s, min(bounds.inner.shift_range, bounds.inner.max_f - 1))
+    if needed > group.window.margin:
+        raise RangeExceedsMargin(f"smallness bounds need shifts up to {needed}, margin is {group.window.margin}")
+    pool = spiral_shifts(bounds.s)
+    total = sum(len(list(itertools.combinations(pool, j))) for j in range(1, bounds.m + 1))
+    if total > bounds.cap:
+        raise BudgetExceeded(f"{total} families exceed the enumeration cap {bounds.cap}")
+    tested = worst = 0
+    first_inconclusive = None
+    for j in range(1, bounds.m + 1):
+        for F in itertools.combinations(pool, j):
+            tested += 1
+            outcome, k = _frozen_family_check(A, ideal, F, bounds.inner)
+            if outcome == "large":
+                worst = max(worst, k)
+            elif outcome == "hard":
+                return SmallnessEvidence("not-small", sorted(F), bounds.m, bounds.s, bounds.inner,
+                                         tested, worst, ideal.descriptor())
+            elif first_inconclusive is None:
+                first_inconclusive = sorted(F)
+    verdict = "small-at-scale" if first_inconclusive is None else "inconclusive"
+    return SmallnessEvidence(verdict, None, bounds.m, bounds.s, bounds.inner, tested, worst,
+                             ideal.descriptor(), first_inconclusive=first_inconclusive)
+
+
+def _outcome(fn):
+    """A call's result, or its exception as (type, message, best family, best size)."""
+    try:
+        return fn()
+    except IdealpackError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "best_family", None),
+                getattr(exc, "best_residual_size", None))
+
+
+@st.composite
+def clustered_sets(draw, size, reach):
+    """Positions on [0, size): copies of a few cluster shapes at random gaps
+    (so shapes repeat), plus points within ``reach`` of either edge."""
+    shapes = draw(st.lists(st.sets(st.integers(0, 6), min_size=1), min_size=1, max_size=3))
+    out = set()
+    x = draw(st.integers(0, 12))
+    while x < size:
+        shape = draw(st.sampled_from(shapes))
+        out.update(x + d for d in shape)
+        x += max(shape) + draw(st.integers(1, 24))
+    out.update(draw(st.sets(st.integers(0, reach), max_size=3)))
+    out.update(size - 1 - e for e in draw(st.sets(st.integers(0, reach), max_size=3)))
+    return sorted(p for p in out if 0 <= p < size)
+
+
+_IDEALS = st.one_of(st.just(TrivialIdeal()), st.integers(1, 4).map(FiniteSetsIdeal))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_run_checker_matches_general_check(data):
+    # every family of sizes 1..3 over the pool, under the trivial ideal and
+    # finite-sets: both ways of ``_ZRuns`` (position rows, a block of
+    # families at once; bitsets, one family) against the bitset path
+    # windows down to 2 * margin + 1, where a family's core can be shorter
+    # than the prefix depth
+    size = data.draw(st.integers(9, 160))
+    margin = min(8, (size - 1) // 2)
+    s = data.draw(st.integers(0, min(4, margin)))
+    g = ZWindowGroup(Window(0, size - 1, margin=margin))
+    A = g.set_of(data.draw(clustered_sets(size, 2 * s + 4)))
+    ideal = data.draw(_IDEALS)
+    inner = LargeBounds(max_f=data.draw(st.integers(1, margin + 1)), shift_range=data.draw(st.integers(0, margin)))
+    runs = _ZRuns(A, ideal.cardinality_cutoff(), s, inner)
+    pool = spiral_shifts(s)
+    for j in (1, 2, 3):
+        families = [list(F) for F in itertools.combinations(pool, j)]
+        if not families:
+            continue
+        shifts = np.array(families)
+        lo = np.maximum(shifts.max(axis=1), 0)
+        hi = size - 1 + np.minimum(shifts.min(axis=1), 0)
+        ways = [runs.check(shifts)]
+        if A.bits:
+            ways.append(runs._check_rows(shifts, lo, hi))
+            found = [runs._check_bits(F, a, b) for F, a, b in zip(families, lo.tolist(), hi.tolist())]
+            ways.append(tuple(zip(*found)))
+        for i, F in enumerate(families):
+            want = _general_family_check(A, ideal, F, inner)
+            assert want == _frozen_family_check(A, ideal, F, inner), F
+            for outcome, ks in ways:
+                assert (_OUTCOMES[outcome[i]], int(ks[i])) == want, F
+
+
+def _weighted_runs(points, weights, lo, hi):
+    """{run length: total weight} of the runs of a point set cut to [lo, hi];
+    each point carries a weight, and a run takes the weight of its points
+    (all points of one run must agree)."""
+    out: dict = {}
+    run: list = []
+    for x in sorted(set(points)) + [None]:
+        if run and (x is None or x != run[-1] + 1):
+            length = min(run[-1], hi) - max(run[0], lo) + 1
+            ws = {weights[y] for y in run}
+            assert len(ws) == 1
+            if length > 0:
+                out[length] = out.get(length, 0) + ws.pop()
+            run = []
+        if x is not None:
+            run.append(x)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_cluster_compression_keeps_run_lengths(data):
+    # for every family, the weighted runs of FA' on the core are those of FA
+    from idealpack.largesmall import _compress
+
+    size = data.draw(st.integers(20, 200))
+    s = data.draw(st.integers(0, 4))
+    pos = np.array(data.draw(clustered_sets(size, 2 * s + 4)), dtype=np.int64)
+    kept, reach, weight = _compress(pos, s, size)
+    assert set(kept.tolist()) <= set(pos.tolist())
+    cluster = np.searchsorted(reach, kept, side="right") - 1
+    for F in itertools.chain.from_iterable(itertools.combinations(spiral_shifts(s), j) for j in (1, 2)):
+        lo, hi = max(max(F), 0), size - 1 + min(min(F), 0)
+        full = {int(p) + f: 1 for p in pos for f in F}
+        compressed = {int(p) + f: int(weight[c]) for p, c in zip(kept, cluster) for f in F}
+        assert _weighted_runs(compressed, compressed, lo, hi) == _weighted_runs(full, full, lo, hi), F
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_gap_largeness_matches_bitset_loop(data):
+    size = data.draw(st.integers(8, 300))
+    margin = data.draw(st.integers(0, (size - 1) // 2))
+    g = ZWindowGroup(Window(0, size - 1, margin=margin))
+    dens = data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.6]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = g.set_of(np.flatnonzero(rng.random(size) < dens).tolist())
+    ideal = data.draw(st.one_of(_IDEALS, st.just(FiniteSetsIdeal(size))))
+    bounds = LargeBounds(max_f=data.draw(st.integers(1, margin + 3)),
+                         shift_range=data.draw(st.integers(0, margin + 2)))
+    lo = data.draw(st.integers(0, size - 1))
+    hi = data.draw(st.integers(lo - 1, size - 1))
+    region = data.draw(st.sampled_from([
+        g.full_mask,
+        ((1 << (hi - lo + 1)) - 1) << lo,
+        int(rng.integers(0, 2**62)) & g.full_mask,
+        0,
+    ]))
+
+    def payload(fn):
+        w = fn(A, ideal, bounds, region)
+        return (w.family, w.residual_size, w.prefix_k)
+
+    from idealpack.largesmall import _prefix_large
+
+    assert _outcome(lambda: payload(_prefix_large)) == _outcome(lambda: payload(_frozen_prefix_large))
+    if region == g.full_mask:
+        assert _outcome(lambda: payload(lambda *a: is_large(A, ideal, bounds))) == \
+            _outcome(lambda: payload(_frozen_prefix_large))
+    # the gap steps themselves, where they apply and the margin allows them
+    kmax = min(bounds.shift_range, bounds.max_f - 1)
+    steps = _outcome(lambda: _gap_steps(A, ideal, kmax, region))
+    if isinstance(steps, list) and kmax <= margin:
+        frozen = _outcome(lambda: _frozen_prefix_large(A, ideal, LargeBounds(kmax + 1, kmax), region))
+        if isinstance(frozen, LargenessWitness):
+            assert steps[-1] == (frozen.prefix_k, frozen.residual_size, True)
+            assert all(not member for _, _, member in steps[:-1])
+        else:
+            assert not any(member for _, _, member in steps)
+            if steps:
+                k, size_k, _ = min(steps, key=lambda step: (step[1], step[0]))
+                assert (list(range(k + 1)), size_k) == (frozen[2], frozen[3])
+
+
+def test_gap_largeness_edge_cases():
+    # regions no longer than the prefix depth, at the window edges, around
+    # empty and one- or two-point sets: where the erosion stop decides
+    from idealpack.largesmall import _prefix_large
+
+    for size in (8, 65, 200):
+        g = ZWindowGroup(Window(0, size - 1, margin=3))
+        for points in ([], [0], [size - 1], [2, 3], [size // 2]):
+            A = g.set_of(points)
+            for lo, hi in ((0, 0), (0, 1), (size - 2, size - 1), (1, 3), (0, size - 1), (size // 2, size // 2 + 2)):
+                region = ((1 << (hi - lo + 1)) - 1) << lo
+                for ideal in (TrivialIdeal(), FiniteSetsIdeal(1), FiniteSetsIdeal(size)):
+                    for bounds in (LargeBounds(1, 0), LargeBounds(2, 1), LargeBounds(3, 3), LargeBounds(4, 3)):
+                        def run(fn):
+                            return _outcome(lambda: (lambda w: (w.family, w.residual_size, w.prefix_k))(
+                                fn(A, ideal, bounds, region)))
+
+                        assert run(_prefix_large) == run(_frozen_prefix_large), (size, points, lo, hi, bounds)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_ideal_small_matches_frozen_loop(data):
+    size = data.draw(st.integers(20, 120))
+    g = ZWindowGroup(Window(0, size - 1, margin=6))
+    kind = data.draw(st.sampled_from(["clustered", "empty", "full", "evens", "random"]))
+    if kind == "clustered":
+        A = g.set_of(data.draw(clustered_sets(size, 8)))
+    elif kind == "random":
+        A = g.set_of(data.draw(st.sets(st.integers(0, size - 1), max_size=size // 2)))
+    else:
+        A = {"empty": g.empty_set(), "full": g.full_set(), "evens": g.set_of(range(0, size, 2))}[kind]
+    ideal = data.draw(_IDEALS)
+    s = data.draw(st.integers(0, 4))
+    m = data.draw(st.integers(1, 4))  # m beyond the pool size when s is small
+    inner = LargeBounds(max_f=data.draw(st.integers(1, 7)), shift_range=data.draw(st.integers(0, 6)))
+    total = sum(len(list(itertools.combinations(spiral_shifts(s), j))) for j in range(1, m + 1))
+    cap = data.draw(st.sampled_from([1_000_000, total, max(1, total - 1)]))
+    bounds = SmallBounds(m=m, s=s, inner=inner, cap=cap)
+    assert _outcome(lambda: is_ideal_small(A, ideal, bounds).payload()) == \
+        _outcome(lambda: _frozen_is_ideal_small(A, ideal, bounds).payload())
+
+
+def test_smallness_edge_cases_match_frozen_loop():
+    g = ZWindowGroup(Window(0, 999, margin=8))
+    inner = LargeBounds(8, 8)
+    cases = [
+        (g.set_of([500]), SmallBounds(m=3, s=0, inner=inner)),  # m beyond the one-shift pool
+        (g.empty_set(), SmallBounds(m=2, s=4, inner=inner)),
+        (g.full_set(), SmallBounds(m=3, s=4, inner=inner)),  # hard at the first family
+        (g.set_of(range(0, 1000, 2)), SmallBounds(m=3, s=4, inner=inner)),  # hard at [0, 1]
+        (g.set_of(range(0, 1000, 7)), SmallBounds(m=2, s=4, inner=LargeBounds(4, 4))),  # inconclusive
+        (g.set_of(range(0, 1000, 3)), SmallBounds(m=2, s=4, inner=inner, cap=45)),  # the cap exactly
+        (g.set_of(range(0, 1000, 3)), SmallBounds(m=2, s=4, inner=inner, cap=44)),  # one past it
+    ]
+    for A, bounds in cases:
+        for ideal in (TrivialIdeal(), FiniteSetsIdeal(3), FiniteSetsIdeal(1000)):
+            assert _outcome(lambda: is_ideal_small(A, ideal, bounds).payload()) == \
+                _outcome(lambda: _frozen_is_ideal_small(A, ideal, bounds).payload())
+    ev = is_ideal_small(g.set_of(range(0, 1000, 2)), TrivialIdeal(), SmallBounds(m=3, s=4, inner=inner))
+    assert (ev.counterexample, ev.families_tested) == ([0, 1], 10)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_residual_profile_matches_brute_force(data):
+    rows = data.draw(st.integers(1, 4))
+    runs = data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, 40), st.integers(1, 5)),
+                              max_size=30))
+    K = data.draw(st.integers(0, 45))
+    row = np.array([r for r, _, _ in runs], dtype=np.int64)
+    L = np.array([length for _, length, _ in runs], dtype=np.int64)
+    w = np.array([weight for _, _, weight in runs], dtype=np.int64)
+    want = [[sum(wt * max(0, length - k) for r, length, wt in runs if r == i) for k in range(K + 1)]
+            for i in range(rows)]
+    assert residual_profile(L, w, K, row, rows).tolist() == want
+    flat = [sum(max(0, length - k) for _, length, _ in runs) for k in range(K + 1)]
+    assert residual_profile(L, None, K).tolist() == flat
 
 
 @pytest.mark.parametrize(
@@ -172,8 +471,7 @@ def test_zero_prefix_depth_is_a_usage_error():
     with pytest.raises(InvalidParam):
         is_ideal_small(g.empty_set(), TrivialIdeal(), SmallBounds(m=1, s=0, inner=LargeBounds(max_f=0)))
     # the smallest valid inner bound gives the two paths one answer
-    from idealpack.largesmall import _FastZChecker, _general_family_check
-
     inner = LargeBounds(max_f=1)
     A = g.empty_set()
-    assert _FastZChecker(A, inner).check([0]) == _general_family_check(A, TrivialIdeal(), [0], inner)
+    outcome, k = _ZRuns(A, 0, 0, inner).check(np.array([[0]]))
+    assert (_OUTCOMES[outcome[0]], int(k[0])) == _general_family_check(A, TrivialIdeal(), [0], inner)
