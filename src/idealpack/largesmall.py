@@ -555,7 +555,8 @@ class _ZRuns:
         return max(1, j * self.pos.size, self.kmax + 2 if self.cutoff else 0)
 
     def check(self, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(outcome code, prefix k) for each family, a row of ``shifts``."""
+        """(outcome code, prefix k) for each family, a row of ``shifts``;
+        k is 0 unless the family is large."""
         n, j = shifts.shape
         lo = np.maximum(shifts.max(axis=1), 0)
         hi = self.size - 1 + np.minimum(shifts.min(axis=1), 0)
@@ -632,9 +633,10 @@ class _ZRuns:
 
 
 def _run_chunks(runs: _ZRuns, pool: list, m: int):
-    """(index combos, outcomes, ks) for the families of sizes 1..m in
+    """(index combos, outcome codes, ks) for the families of sizes 1..m in
     enumeration order, a chunk at a time: chunks start at one family, so an
-    early counterexample costs little, and double up to ``_CHUNK_ITEMS``."""
+    early counterexample costs little, and double up to ``_CHUNK_ITEMS``.
+    The codes and ks are lists, as ``check`` gives them."""
     shifts = np.array(pool, dtype=np.int64)
     for j in range(1, m + 1):
         combos = itertools.combinations(range(len(pool)), j)
@@ -645,7 +647,8 @@ def _run_chunks(runs: _ZRuns, pool: list, m: int):
             block = np.fromiter(chunk, dtype=np.int64).reshape(-1, j)
             if block.shape[0] == 0:
                 break
-            yield (block, *runs.check(shifts[block]))
+            outcome, ks = runs.check(shifts[block])
+            yield block, outcome.tolist(), ks.tolist()
             rows = min(2 * rows, limit)
 
 
@@ -654,7 +657,7 @@ def _general_chunks(A: MaterializedSet, ideal: Ideal, pool: list, bounds: SmallB
     for j in range(1, bounds.m + 1):
         for combo in itertools.combinations(range(len(pool)), j):
             outcome, k = _general_family_check(A, ideal, [pool[i] for i in combo], bounds.inner)
-            yield [combo], np.array([_OUTCOMES.index(outcome)]), np.array([k])
+            yield [combo], [_OUTCOMES.index(outcome)], [k]
 
 
 def _general_family_check(
@@ -718,17 +721,15 @@ def is_ideal_small(
     tested = 0
     worst = 0
     first_inconclusive: Optional[list] = None
+    # list operations, not numpy: the general path yields one family a chunk
     for combos, outcome, ks in chunks:
-        hard = np.flatnonzero(outcome == _HARD)
-        stop = int(hard[0]) if hard.size else outcome.size
+        stop = outcome.index(_HARD) if _HARD in outcome else len(outcome)
         seen = outcome[:stop]
-        worst = max(worst, int(ks[:stop][seen == _LARGE].max(initial=0)))
-        if first_inconclusive is None:
-            undecided = np.flatnonzero(seen == _INCONCLUSIVE)
-            if undecided.size:
-                first_inconclusive = family(combos[undecided[0]])
+        worst = max(worst, max(ks[:stop], default=0))  # k is 0 unless large
+        if first_inconclusive is None and _INCONCLUSIVE in seen:
+            first_inconclusive = family(combos[seen.index(_INCONCLUSIVE)])
         tested += stop
-        if hard.size:
+        if stop < len(outcome):
             return SmallnessEvidence(
                 verdict="not-small",
                 counterexample=family(combos[stop]),
