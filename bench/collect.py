@@ -7,12 +7,12 @@ This script pairs those files by seed and writes, for every end-to-end
 metric in ``BENCHMARK.json``, each side's median and interquartile range,
 the pair-by-pair values and how many pairs the change wins; with
 ``--criterion``, it also times that ``verify-paper`` criterion in both
-checkouts, alternately.  Standard library only.
+checkouts, alternately, ``_REPEATS`` times per side.  Standard library only.
 
 Usage, from the root of the change's checkout::
 
     python3 bench/collect.py --label z-small-x --workload z-small \\
-        --base ../base --change . --seeds 61-70 --criterion 9 --repeats 5
+        --base ../base --change . --seeds 61-70 --criterion 9
 
 Exit status: 0 after writing the file, 2 on a usage error or a missing run.
 """
@@ -29,6 +29,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# runs of the verify-paper criterion per side
+_REPEATS = 5
 
 _CRITERION = (
     "import json, sys; from idealpack.acceptance import run_all; "
@@ -61,11 +64,11 @@ def load_run(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(path.read_text())
 
 
-def time_criterion(checkouts: dict, index: int, repeats: int) -> dict:
+def time_criterion(checkouts: dict, index: int) -> dict:
     """Wall time of one verify-paper criterion in each checkout, alternating
     which side goes first."""
     times: dict = {side: [] for side in checkouts}
-    for i in range(repeats):
+    for i in range(_REPEATS):
         order = list(checkouts) if i % 2 == 0 else list(reversed(checkouts))
         for side in order:
             src = checkouts[side] / "src"
@@ -75,7 +78,7 @@ def time_criterion(checkouts: dict, index: int, repeats: int) -> dict:
             if not passed:
                 raise SystemExit(f"error: criterion {index} failed in {checkouts[side]}")
             times[side].append(elapsed)
-    return {"criterion": index, "repeats": repeats,
+    return {"criterion": index, "repeats": _REPEATS,
             **{side: {"seconds": t, **spread(t)} for side, t in times.items()}}
 
 
@@ -119,7 +122,7 @@ def collect(args) -> dict:
         "collected": time.strftime("%Y-%m-%d", time.gmtime()),
     }
     if args.criterion is not None:
-        out["verify_paper"] = time_criterion(checkouts, args.criterion, args.repeats)
+        out["verify_paper"] = time_criterion(checkouts, args.criterion)
     return out
 
 
@@ -131,7 +134,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--seeds", required=True, help="the paired seeds, e.g. 61-70")
     p.add_argument("--criterion", type=int, help="also time this verify-paper criterion")
-    p.add_argument("--repeats", type=int, default=5, help="runs of the criterion per side")
     p.add_argument("--note", default="", help="free text kept in the file, e.g. how the pairs were ordered")
     p.add_argument("--out", help="output path (default: BENCH_<label>.json at the root)")
     args = p.parse_args(argv)
