@@ -1,6 +1,7 @@
 """Largeness witnesses and smallness evidence."""
 
 import itertools
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -400,7 +401,8 @@ def test_is_ideal_small_matches_frozen_loop(data):
         A = g.set_of(data.draw(st.sets(st.integers(0, size - 1), max_size=size // 2)))
     else:
         A = {"empty": g.empty_set(), "full": g.full_set(), "evens": g.set_of(range(0, size, 2))}[kind]
-    ideal = data.draw(_IDEALS)
+    # density-zero takes the general path, one family at a time
+    ideal = data.draw(st.one_of(_IDEALS, st.just(DensityZeroIdeal(lengths=(4, 8), threshold=Fraction(1, 4)))))
     s = data.draw(st.integers(0, 4))
     m = data.draw(st.integers(1, 4))  # m beyond the pool size when s is small
     inner = LargeBounds(max_f=data.draw(st.integers(1, 7)), shift_range=data.draw(st.integers(0, 6)))
