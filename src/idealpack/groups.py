@@ -93,6 +93,9 @@ class _GroupBase:
 
     kind: str
     size: int
+    # whether every translate of every set stays whole (nothing is pushed out
+    # of the universe), so that |gA ∩ hA| = |A ∩ g⁻¹hA| holds exactly
+    translation_is_exact = False
 
     # -- element protocol -------------------------------------------------
     def identity(self):
@@ -112,6 +115,22 @@ class _GroupBase:
 
     def elements(self) -> Iterator:
         return (self.elem_at(i) for i in range(self.size))
+
+    # -- index-array protocol (table carriers and Z_N) ----------------------
+    def translate_index(self, gs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Index of g·x for each element index g in ``gs`` (rows) and x in
+        ``pos`` (columns); -1 where the product leaves the universe."""
+        raise KindMismatch(f"no index translation on kind {self.kind!r}")
+
+    def differences(self, gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        """Index of g⁻¹h for each element index g in ``gs`` (rows) and h in
+        ``hs`` (columns); -1 where it leaves the universe."""
+        raise KindMismatch(f"no index differences on kind {self.kind!r}")
+
+    def translator_count(self, radius: int) -> int:
+        """How many translators a greedy cover tries: the elements of index
+        below the count, which are those of length at most ``radius``."""
+        raise KindMismatch(f"no greedy cover for kind {self.kind!r}")
 
     # -- bitset protocol ---------------------------------------------------
     @property
@@ -183,12 +202,11 @@ class ZWindowGroup(_GroupBase):
             raise ShiftOutOfBudget(
                 f"shift {g} exceeds declared margin {self.window.margin}"
             )
-        before = bits.bit_count()
+        # the tally counts only the bits pushed out: past the top edge (and
+        # any input bits already beyond it) for g >= 0, below 0 for g < 0
         if g >= 0:
-            out = (bits << g) & self.full_mask
-        else:
-            out = bits >> (-g)
-        return out, before - out.bit_count()
+            return (bits << g) & self.full_mask, (bits >> (self.size - g)).bit_count()
+        return bits >> -g, (bits & bitops.mask(-g)).bit_count()
 
     def exact_core_mask(self, shifts: Sequence[int]) -> int:
         """Positions where translates by these shifts carry no edge artifacts.
@@ -222,6 +240,7 @@ class ZModGroup(_GroupBase):
     """Integers mod N; translation rotates the bit pattern."""
 
     kind = "z-mod"
+    translation_is_exact = True
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -250,6 +269,12 @@ class ZModGroup(_GroupBase):
         out = ((bits << g) | (bits >> (n - g))) & self.full_mask if g else bits
         return out, 0
 
+    def translate_index(self, gs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        return (np.asarray(gs)[:, None] + pos) % self.modulus
+
+    def differences(self, gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        return (hs - np.asarray(gs)[:, None]) % self.modulus
+
     def exact_core_mask(self, shifts: Sequence[int]) -> int:
         return self.full_mask
 
@@ -268,6 +293,7 @@ class CayleyGroup(_GroupBase):
     """
 
     kind = "cayley"
+    translation_is_exact = True
 
     def __init__(self, table: Sequence[Sequence[int]], identity_index: int):
         n = len(table)
@@ -301,6 +327,7 @@ class CayleyGroup(_GroupBase):
         self.identity_index = e
         self.size = n
         self._inv = tuple(tab[x].index(e) for x in range(n))
+        self._inv_index = np.array(self._inv, dtype=np.intp)
 
     def identity(self) -> int:
         return self.identity_index
@@ -327,6 +354,15 @@ class CayleyGroup(_GroupBase):
         callers that translate one decoded set many times."""
         return _gather_translate((self._rows[g],), pos, self.size)
 
+    def translate_index(self, gs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        return self._rows[np.ix_(gs, pos)]
+
+    def differences(self, gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        return self._rows[np.ix_(self._inv_index[gs], hs)]
+
+    def translator_count(self, radius: int) -> int:
+        return self.size
+
     def exact_core_mask(self, shifts: Sequence) -> int:
         return self.full_mask
 
@@ -343,9 +379,11 @@ class FreeGroup2(_GroupBase):
 
     Translation gathers through four index maps, one per letter: entry i of
     the map for x is the rank of ``x * w_i``, or -1 where that product leaves
-    the ball.  They are built by :func:`words.left_mul_ranks` on the first
-    translate (not at construction: at depth 12 they take 17 MB, and
-    disjointness checks never need them).
+    the ball, and one last entry -1 sends a -1 on as -1.  They are built by
+    :func:`words.left_mul_ranks` on the first translate (not at
+    construction: at depth 12 they take 17 MB, and disjointness checks never
+    need them).  Differences g⁻¹h are worked out on ranks too, by
+    :func:`words.left_mul_ranks` and :func:`words.invert_ranks`.
     """
 
     kind = "free-2"
@@ -383,14 +421,43 @@ class FreeGroup2(_GroupBase):
     def translate_positions(self, g: str, pos: np.ndarray) -> tuple[int, int]:
         """``translate_bits`` of the set whose positions are given, for
         callers that translate one decoded set many times."""
+        return _gather_translate(self._maps_of(g), pos, self.size)
+
+    def translate_index(self, gs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        out = np.empty((len(gs), len(pos)), dtype=np.int64)
+        for row, g in zip(out, np.asarray(gs).tolist()):
+            row[:] = pos
+            for index_map in self._maps_of(words.word_at_rank(g)):
+                row[:] = index_map[row]
+        return out
+
+    def differences(self, gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        """One rank kernel call per entry of the shorter of ``gs`` and ``hs``:
+        a row is g⁻¹·hs; a column is the inverse of h⁻¹·gs, as g⁻¹h = (h⁻¹g)⁻¹."""
+        gs, hs = np.asarray(gs), np.asarray(hs)
+        out = np.empty((gs.size, hs.size), dtype=np.int64)
+        if gs.size <= hs.size:
+            for i, g in enumerate(gs.tolist()):
+                out[i] = words.left_mul_ranks(words.invert_word(words.word_at_rank(g)), hs, self.depth)[0]
+        else:
+            for j, h in enumerate(hs.tolist()):
+                hg = words.left_mul_ranks(words.invert_word(words.word_at_rank(h)), gs, self.depth)[0]
+                out[:, j] = words.invert_ranks(hg, self.depth)
+        return out
+
+    def translator_count(self, radius: int) -> int:
+        return words.ball_size(min(radius, self.depth))
+
+    def _maps_of(self, g: str) -> list[np.ndarray]:
+        """The letter maps that translate by ``g``, in the order they apply."""
         if self._letter_maps is None:
             self._letter_maps = {ch: self._letter_map(ch) for ch in words.ALPHABET}
-        maps = self._letter_maps
-        return _gather_translate([maps[ch] for ch in reversed(g)], pos, self.size)
+        return [self._letter_maps[ch] for ch in reversed(g)]
 
     def _letter_map(self, ch: str) -> np.ndarray:
+        # one entry past the ball, -1, so that a -1 index maps to -1 again;
         # in slices, so the kernel's int64 temporaries stay small beside the map
-        out = np.empty(self.size, dtype=np.int32)
+        out = np.full(self.size + 1, -1, dtype=np.int32)
         for lo in range(0, self.size, _MAP_SLICE):
             ranks = np.arange(lo, min(lo + _MAP_SLICE, self.size))
             out[lo : lo + ranks.size] = words.left_mul_ranks(ch, ranks, self.depth)[0]

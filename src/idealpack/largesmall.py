@@ -49,8 +49,19 @@ answers are the bitset loop's, byte for byte.
   edges stay as they are.  The trivial ideal needs only the longest run, so
   only ``finite-sets`` uses the weights.
 
-Every other ideal, largeness on Z-mod-N, and the table carriers keep the
-bitset path: translates as bitsets, and ``Ideal.member`` on each residual.
+Every other ideal and largeness on Z-mod-N keep the bitset path: translates
+as bitsets, and ``Ideal.member`` on each residual.
+
+Greedy cover on the table carriers (Cayley tables and word balls).  The
+cover reads one bool hit matrix H[x, c] = (x in cB) over the residual region
+R and the candidates C, for the trusted part B of A.  It is built from the
+smaller side: by candidate, each translate cB is one gather; by residual
+element, x lies in cB exactly when c^-1 x lies in B, so one column of group
+differences reads x against every candidate at once (on a word ball, one
+rank-kernel call).  Each round takes the first largest gain and subtracts
+the newly covered rows of H from the gains; ``Ideal.member`` is still asked
+on every round's residual.  Smallness on these carriers checks its families
+one at a time, each through this cover.
 """
 
 from __future__ import annotations
@@ -80,7 +91,6 @@ from .groups import (
     spiral_shifts,
 )
 from .ideals import Ideal, TrivialIdeal
-from .packing import _CACHE_BYTE_LIMIT
 
 __all__ = [
     "LargeBounds",
@@ -367,31 +377,32 @@ def _greedy_large(
     bounds: LargeBounds,
     region_mask: int,
 ) -> LargenessWitness:
-    """Greedy cover on table groups and word balls."""
-    group = A.group
-    if isinstance(group, CayleyGroup):
-        candidates = list(range(group.size))
-        rmask = region_mask
-    elif isinstance(group, FreeGroup2):
-        depth = min(bounds.shift_range, group.depth)
-        candidates = list(words.enumerate_ball(depth))
-        rmask = region_mask & group.exact_core_mask([candidates[-1]])
-    else:
-        raise KindMismatch(f"no greedy cover for kind {group.kind!r}")
+    """Greedy cover on table groups and word balls: each round takes the
+    first candidate that covers the most of the residual, until the
+    residual is a member of the ideal.
 
+    The candidates are the group's elements of index below
+    ``translator_count``; the residual region R is the region cut to the
+    exact core of the longest one.  Coverage is one bool hit matrix over R
+    and the candidates (``_hit_matrix``), and each round subtracts the newly
+    covered rows from the gains.
+    """
+    group = A.group
+    count = group.translator_count(bounds.shift_range)
+    # candidates come by length, so the last one's core is every one's
+    rmask = region_mask & group.exact_core_mask([group.elem_at(count - 1)])
     # translate only the trusted part of A, so coverage never leans on
     # positions whose membership is a truncation artifact
-    base_pos = bitops.positions_from_bits(A.bits & region_mask, group.size)
-    # the base never changes, so each candidate's translate is worked out
-    # once per call, when the cache fits the budget ConflictOracle's does
-    est = (group.size // 8 + 1) * len(candidates)
-    cache: Optional[dict] = {} if est <= _CACHE_BYTE_LIMIT else None
+    base = bitops.positions_from_bits(A.bits & region_mask, group.size)
+    rows = bitops.positions_from_bits(rmask, group.size)
+    hits = _hit_matrix(group, base, rows, count)
+    gains = hits.sum(axis=0)
+    alive = np.ones(rows.size, dtype=bool)
+    residual_bits = rmask
     family: list = []
-    acc = 0
     best_size: Optional[int] = None
     best_family: list = []
     for _ in range(bounds.max_f):
-        residual_bits = rmask & ~acc
         size = residual_bits.bit_count()
         if ideal.member(MaterializedSet(group, residual_bits)):
             return LargenessWitness(
@@ -402,23 +413,14 @@ def _greedy_large(
             )
         if best_size is None or size < best_size:
             best_size, best_family = size, list(family)
-        chosen = None
-        chosen_bits = 0
-        chosen_gain = 0
-        for cand in candidates:
-            tb = cache.get(cand) if cache is not None else None
-            if tb is None:
-                tb, _ = group.translate_positions(cand, base_pos)
-                if cache is not None:
-                    cache[cand] = tb
-            gain = (tb & residual_bits).bit_count()
-            if gain > chosen_gain:
-                chosen, chosen_bits, chosen_gain = cand, tb, gain
-        if chosen is None:
+        chosen = int(gains.argmax())  # the first of the largest gains
+        if gains[chosen] == 0:
             break
-        family.append(chosen)
-        acc |= chosen_bits
-    residual_bits = rmask & ~acc
+        family.append(group.elem_at(chosen))
+        newly = alive & hits[:, chosen]
+        alive ^= newly
+        gains -= hits[newly].sum(axis=0)
+        residual_bits &= ~bitops.bits_from_positions(rows[newly], group.size)
     size = residual_bits.bit_count()
     if ideal.member(MaterializedSet(group, residual_bits)):
         return LargenessWitness(
@@ -434,6 +436,47 @@ def _greedy_large(
         best_family=best_family,
         best_residual_size=best_size,
     )
+
+
+def _hit_matrix(group: Group, base: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """Bool (len(rows), count): entry [i, c] says whether position rows[i]
+    lies in c·B, for B the positions ``base`` and c the element of index c;
+    built from the smaller side, candidates or rows."""
+    if count <= rows.size:
+        return _hits_by_candidate(group, base, rows, count)
+    return _hits_by_residual(group, base, rows, count)
+
+
+def _hits_by_candidate(group: Group, base: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``_hit_matrix`` a column at a time: each translate c·B is one row of
+    ``translate_index``, ``_CHUNK_ITEMS`` entries at a time."""
+    # the row of each position of R; the last slot takes everything else,
+    # the -1 of a product outside the universe included
+    row_of = np.full(group.size + 1, rows.size)
+    row_of[rows] = np.arange(rows.size)
+    hits = np.zeros((rows.size + 1, count), dtype=bool)
+    cands = np.arange(count)
+    step = max(1, _CHUNK_ITEMS // max(1, base.size))
+    for lo in range(0, count, step):
+        part = cands[lo : lo + step]
+        hits[row_of[group.translate_index(part, base)], part[:, None]] = True
+    return hits[:-1]
+
+
+def _hits_by_residual(group: Group, base: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``_hit_matrix`` a row at a time: x lies in c·B exactly when c⁻¹x lies
+    in B, so one column of ``differences`` reads x against the candidates,
+    ``_CHUNK_ITEMS`` of them at a time."""
+    in_base = np.zeros(group.size + 1, dtype=bool)  # the last slot reads -1
+    in_base[base] = True
+    hits = np.empty((rows.size, count), dtype=bool)
+    step = max(1, _CHUNK_ITEMS // count)
+    for lo in range(0, rows.size, step):
+        for first in range(0, count, _CHUNK_ITEMS):
+            cands = np.arange(first, min(first + _CHUNK_ITEMS, count))
+            diffs = group.differences(cands, rows[lo : lo + step])
+            hits[lo : lo + step, first : first + cands.size] = in_base[diffs].T
+    return hits
 
 
 def is_large(

@@ -8,10 +8,13 @@ intersection of translates by exactly those shifts carries no boundary
 artifacts.  ``pack_greedy`` gives a certified lower bound; ``pack_exact``
 runs branch-and-bound seeded with the greedy family.
 
-For n=2 the conflict graph is built in bulk (``ConflictOracle.pair_rows``):
-on Z windows and Z_N with the trivial ideal each shift difference is decided
-once and every row is filled from those decisions with numpy, already
-permuted into search order, as a Python-int bitset.  Both searches run on an
+For n=2 the conflict graph is built in bulk (``ConflictOracle.pair_rows``).
+Where translation is exact (Z_N and Cayley tables), under the trivial ideal
+or ``finite-sets``, each group element d = g^-1 h is decided once, as whether
+|A ∩ dA| is above the ideal's cutoff; on Z windows with the trivial ideal,
+each shift difference is.  Every row is filled from those decisions with
+numpy, already permuted into search order, as a Python-int bitset.  Other
+ideals, and the free group, decide pair by pair on translate bitsets.  Both searches run on an
 explicit stack, so their depth is bounded by the candidate count and not by
 the interpreter's recursion limit, which is left alone.
 
@@ -62,6 +65,12 @@ __all__ = [
 ]
 
 _CACHE_BYTE_LIMIT = 256 * 1024 * 1024
+# entries in the largest index array the pair modes build at once (128 KiB
+# per int64 temporary, so that building rows adds little to peak memory)
+_GATHER_ITEMS = 1 << 14
+# the element pair table gathers through sets up to this size, and through
+# larger ones with at most one element per 64 universe positions
+_GATHER_SET = 512
 
 
 @dataclass
@@ -75,6 +84,8 @@ class PackingReport:
     candidate_count: int
     stats: dict = field(default_factory=dict)
     note: str = ""
+    # milliseconds building the conflict rows and searching them
+    timing: dict = field(default_factory=lambda: {"rows_ms": 0.0, "search_ms": 0.0})
 
     def payload(self) -> dict:
         out = {
@@ -88,6 +99,7 @@ class PackingReport:
             "edges_evaluated": self.stats.get("edges_evaluated", 0),
             "nodes": self.stats.get("nodes", 0),
             "elapsed_ms": self.stats.get("elapsed_ms", 0),
+            "timing": dict(self.timing),
         }
         if self.stats.get("budget_hit"):
             out["budget_hit"] = True
@@ -129,11 +141,18 @@ def candidate_translators(
 class ConflictOracle:
     """Decides whether an n-subset of candidates (given by indices) conflicts.
 
-    For n=2 with the trivial ideal on integer kinds, an edge depends on the
-    two shifts only through their difference d, and each d is decided once:
-    on a Z window, translates by b <= c intersect on the exact core iff A
-    meets A-d at a position u <= hi-c, so the least such u is kept per
-    difference; on Z_N the question is whether A meets its rotation by d.
+    For n=2 under a cardinality ideal (the trivial ideal, and ``finite-sets``
+    on bare bitsets), an edge depends on the two translators g, h only
+    through one group element, and each is decided once:
+
+    * ``element-pairs``, where translation is exact (Z_N, Cayley tables):
+      gA ∩ hA = g(A ∩ g⁻¹hA), so the pair conflicts exactly when
+      |A ∩ dA| at d = g⁻¹h is above the cutoff; the table holds |A ∩ dA|
+      per element d.
+    * ``z-window-pairs``, trivial ideal, shifts b <= c: the translates meet
+      on the exact core iff A meets A-d at a position u <= hi-c, so the
+      least such u is kept per difference d = c-b.
+
     Everything else intersects cached translate bitsets and asks the ideal.
     """
 
@@ -148,21 +167,36 @@ class ConflictOracle:
         self.edges_evaluated = 0
         self._memo: dict[tuple, bool] = {}
         self._mode = "general"
-        if n == 2 and ideal.kind == "trivial":
-            if isinstance(self.group, ZWindowGroup) and all(
-                isinstance(c, int) and c >= 0 for c in self.cands
-            ):
-                self._mode = "z-window-pairs"
-                self._positions = bitops.positions_from_bits(A.bits, self.group.size)
-                # least witness per difference; group.size when there is none.
-                # A difference past the window has no witness, and a pair
-                # that far apart never meets on the core, so lookups clip to it.
-                top = min(max(self.cands, default=0), self.group.size - 1)
-                self._diff = np.full(top + 1, -1, dtype=np.int64)
-            elif isinstance(self.group, ZModGroup):
-                self._mode = "z-mod-pairs"
-                # 1 where A meets its rotation by the difference, else 0
-                self._diff = np.full(self.group.size, -1, dtype=np.int8)
+        # A as a bool array, where the element table is filled by gathers
+        self._in_A: Optional[np.ndarray] = None
+        cutoff = ideal.cardinality_cutoff() if n == 2 else None
+        if cutoff is not None and self.group.translation_is_exact:
+            self._mode = "element-pairs"
+            self._cutoff = cutoff
+            # the usage errors ``member`` raises on this carrier and ideal
+            ideal.member(self.group.empty_set())
+            self._index = np.array([self.group.index(c) for c in self.cands], dtype=np.int64)
+            self._positions = bitops.positions_from_bits(A.bits, self.group.size)
+            # |A ∩ dA| per element index d; -1 until decided
+            self._diff = np.full(self.group.size, -1, dtype=np.int64)
+            # by gathers through A's positions, unless A is large and dense:
+            # then one bitset AND per element costs less
+            if self._positions.size <= max(_GATHER_SET, self.group.size // 64):
+                self._in_A = np.zeros(self.group.size, dtype=bool)
+                self._in_A[self._positions] = True
+            # the conflict rows ``is_edge`` has read, by candidate index
+            self._row_cache: dict[int, list] = {}
+        elif cutoff == 0 and isinstance(self.group, ZWindowGroup) and all(
+            isinstance(c, int) and c >= 0 for c in self.cands
+        ):
+            self._mode = "z-window-pairs"
+            self._shifts = np.array(self.cands, dtype=np.int64)
+            self._positions = bitops.positions_from_bits(A.bits, self.group.size)
+            # least witness per difference; group.size when there is none.
+            # A difference past the window has no witness, and a pair
+            # that far apart never meets on the core, so lookups clip to it.
+            top = min(max(self.cands, default=0), self.group.size - 1)
+            self._diff = np.full(top + 1, -1, dtype=np.int64)
         # translate cache for the general path, if it fits
         self._tcache: Optional[dict] = None
         if self._mode == "general":
@@ -172,13 +206,28 @@ class ConflictOracle:
 
     # -- helpers -----------------------------------------------------------
     def _decide_diff(self, d: int) -> int:
-        """The per-difference part of a pair decision (see the class doc)."""
+        """One entry of the per-difference table (see the class doc)."""
         if self._mode == "z-window-pairs":
             p = self._positions
             inter = np.intersect1d(p, p - d, assume_unique=True)
             return int(inter[0]) if inter.size else self.group.size
-        rot = self.group.translate_bits(d, self.A.bits)[0]
-        return int((self.A.bits & rot) != 0)
+        bits = self.A.bits
+        return (bits & self.group.translate_bits(self.group.elem_at(d), bits)[0]).bit_count()
+
+    def _decide_diffs(self, ds: np.ndarray) -> None:
+        """Fill the per-difference table at the distinct undecided ``ds``:
+        one at a time, or by gathers through A's positions."""
+        if self._in_A is None:
+            for d in ds.tolist():
+                self._diff[d] = self._decide_diff(d)
+            return
+        p = self._positions
+        if self.group.size * p.size <= _GATHER_ITEMS:
+            ds = np.arange(self.group.size)  # the whole table in one gather
+        step = max(1, _GATHER_ITEMS // max(1, p.size))
+        for lo in range(0, ds.size, step):
+            part = ds[lo : lo + step]
+            self._diff[part] = self._in_A[self.group.translate_index(part, p)].sum(axis=1)
 
     def _diff_value(self, d: int) -> int:
         v = int(self._diff[d])
@@ -190,26 +239,26 @@ class ConflictOracle:
         vals = self._diff[ds]
         unknown = ds[vals < 0]
         if unknown.size:
-            for d in bitops.sorted_unique(unknown).tolist():
-                self._diff[d] = self._decide_diff(d)
+            self._decide_diffs(bitops.sorted_unique(unknown))
             vals = self._diff[ds]
         return vals
 
-    def _pair_row(self, i: int, cands: np.ndarray) -> np.ndarray:
-        """Bool array: entry j says whether candidates i and j conflict, as
-        ``is_edge`` decides it."""
-        c = cands[i]
+    def _pair_rows_block(self, lo: int, hi: int) -> np.ndarray:
+        """Bool block: entry [i - lo, j] says whether candidates i and j
+        conflict, as ``is_edge`` decides it, for lo <= i < hi."""
+        rows = np.arange(lo, hi)
         if self._mode == "z-window-pairs":
+            cands = self._shifts
+            c = cands[lo:hi, None]
             lim = (self.group.size - 1) - np.maximum(cands, c)
             ds = np.minimum(np.abs(cands - c), self._diff.size - 1)
-            row = self._diff_values(ds) <= lim
+            block = self._diff_values(ds) <= lim
         else:
-            # is_edge takes the difference from the lower index to the higher
-            ds = (cands - c) % self.group.size
-            ds[:i] = (c - cands[:i]) % self.group.size
-            row = self._diff_values(ds) > 0
-        row[i] = False
-        return row
+            # |A ∩ dA| = |A ∩ d⁻¹A|, so either order of a pair reads the same
+            ds = self.group.differences(self._index[lo:hi], self._index)
+            block = self._diff_values(ds) > self._cutoff
+        block[rows - lo, rows] = False
+        return block
 
     def _translate(self, idx: int) -> int:
         if self._tcache is not None:
@@ -227,10 +276,13 @@ class ConflictOracle:
             self.edges_evaluated += 1
             b, c = sorted((self.cands[combo[0]], self.cands[combo[1]]))
             return self._diff_value(min(c - b, self._diff.size - 1)) <= self.group.size - 1 - c
-        if self._mode == "z-mod-pairs":
+        if self._mode == "element-pairs":
             self.edges_evaluated += 1
-            b, c = self.cands[combo[0]], self.cands[combo[1]]
-            return self._diff_value((c - b) % self.group.size) > 0
+            i = combo[0]
+            row = self._row_cache.get(i)
+            if row is None:
+                row = self._row_cache[i] = self._pair_rows_block(i, i + 1)[0].tolist()
+            return row[combo[1]]
         hit = self._memo.get(combo)
         if hit is not None:
             return hit
@@ -253,8 +305,9 @@ class ConflictOracle:
         ``order`` lists the candidate indices by conflict degree descending,
         index ascending; ``rows[p]`` has bit q set when candidates
         ``order[p]`` and ``order[q]`` conflict.  Every pair counts as one
-        evaluated edge.  The per-difference modes build each row with numpy,
-        one row at a time; the general mode asks ``is_edge`` pair by pair.
+        evaluated edge.  The per-difference modes build the rows with numpy,
+        a block of rows at a time; the general mode asks ``is_edge`` pair by
+        pair.
         """
         m = len(self.cands)
         if self._mode == "general":
@@ -266,8 +319,11 @@ class ConflictOracle:
                         adj[j] |= 1 << i
         else:
             self.edges_evaluated += m * (m - 1) // 2
-            cands = np.array(self.cands, dtype=np.int64)
-            adj = [bitops.bits_from_array(self._pair_row(i, cands)) for i in range(m)]
+            adj = []
+            step = max(1, _GATHER_ITEMS // max(1, m))
+            for lo in range(0, m, step):
+                block = self._pair_rows_block(lo, min(lo + step, m))
+                adj.extend(bitops.bits_from_array(row) for row in block)
         deg = [a.bit_count() for a in adj]
         order = sorted(range(m), key=lambda i: (-deg[i], i))
         perm = np.array(order, dtype=np.intp)
@@ -302,6 +358,14 @@ def _ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
+def _lap(timing: Optional[dict], key: str, t0: float) -> float:
+    """Record the milliseconds since ``t0`` under ``key``; the time now."""
+    now = time.perf_counter()
+    if timing is not None:
+        timing[key] = round((now - t0) * 1000, 3)
+    return now
+
+
 def _greedy_indices(oracle: ConflictOracle, m: int, n: int) -> list[int]:
     family: list[int] = []
     for ci in range(m):
@@ -331,7 +395,10 @@ def pack_greedy(
     if short is not None:
         return short
     oracle = oracle or ConflictOracle(A, ideal, candidates, n)
+    t1 = time.perf_counter()
     family = _greedy_indices(oracle, len(candidates), n)
+    timing = {"rows_ms": 0.0}  # the scan decides edges as it meets them
+    _lap(timing, "search_ms", t1)
     value = len(family)
     flag = "saturated" if value == len(candidates) else "lower-bound"
     return PackingReport(
@@ -347,6 +414,7 @@ def pack_greedy(
             "nodes": 0,
             "elapsed_ms": _ms(t0),
         },
+        timing=timing,
     )
 
 
@@ -356,16 +424,19 @@ def _validate_n(n: int) -> None:
 
 
 def _exact_pairs(
-    oracle: ConflictOracle, m: int, node_budget: int
+    oracle: ConflictOracle, m: int, node_budget: int, timing: Optional[dict] = None
 ) -> tuple[list[int], bool, int]:
     """Max independent set in the conflict graph (n=2) by bitmask B&B.
 
     Depth-first, include before exclude, on an explicit stack: ``cur`` holds
     the positions (in search order) taken on the way down, ``rem`` the
     positions still open below them, and ``stack`` what each level has left
-    to try once the branch under it closes.
+    to try once the branch under it closes.  ``timing``, when given, gets
+    ``rows_ms`` and ``search_ms``.
     """
+    t0 = time.perf_counter()
     order, padj = oracle.pair_rows()
+    t0 = _lap(timing, "rows_ms", t0)
     pos_of = [0] * m
     for p, i in enumerate(order):
         pos_of[i] = p
@@ -408,11 +479,12 @@ def _exact_pairs(
             best = list(cur)
             nbest = len(best)
         rem &= keep[p]
+    _lap(timing, "search_ms", t0)
     return sorted(order[p] for p in best), budget_hit, nodes
 
 
 def _exact_hyper(
-    oracle: ConflictOracle, m: int, n: int, node_budget: int
+    oracle: ConflictOracle, m: int, n: int, node_budget: int, timing: Optional[dict] = None
 ) -> tuple[list[int], bool, int]:
     """B&B for n >= 3 on an explicit stack.
 
@@ -421,7 +493,9 @@ def _exact_hyper(
     the family's mask.  ``cur`` holds the candidates taken on the way down,
     ``p`` the next search position to try below them, and ``starts`` the
     position each level resumes from once the branch under it closes.
+    ``timing``, when given, gets ``rows_ms`` and ``search_ms``.
     """
+    t0 = time.perf_counter()
     rests: list[list[int]] = [[] for _ in range(m)]
     for combo in itertools.combinations(range(m), n):
         if oracle.is_edge(combo):
@@ -431,6 +505,7 @@ def _exact_hyper(
             for i in combo:
                 rests[i].append(edge ^ (1 << i))
     order = sorted(range(m), key=lambda i: (-len(rests[i]), i))
+    t0 = _lap(timing, "rows_ms", t0)
 
     def fits(family_mask: int, i: int) -> bool:
         return all(r & family_mask != r for r in rests[i])
@@ -469,6 +544,7 @@ def _exact_hyper(
             cur_mask |= 1 << i
             if len(cur) > len(best):
                 best = list(cur)
+    _lap(timing, "search_ms", t0)
     return sorted(best), budget_hit, nodes
 
 
@@ -498,10 +574,11 @@ def pack_exact(
             f"exact search with n={n} is capped at {exact_cap} candidates (got {m})"
         )
     oracle = ConflictOracle(A, ideal, candidates, n)
+    timing: dict = {}
     if n == 2:
-        family_idx, budget_hit, nodes = _exact_pairs(oracle, m, node_budget)
+        family_idx, budget_hit, nodes = _exact_pairs(oracle, m, node_budget, timing)
     else:
-        family_idx, budget_hit, nodes = _exact_hyper(oracle, m, n, node_budget)
+        family_idx, budget_hit, nodes = _exact_hyper(oracle, m, n, node_budget, timing)
     value = len(family_idx)
     if value == m:
         flag = "saturated"
@@ -523,6 +600,7 @@ def pack_exact(
             "elapsed_ms": _ms(t0),
             "budget_hit": budget_hit,
         },
+        timing=timing,
     )
 
 

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 __all__ = ["scrub", "strip_timing", "render_json", "render_text", "envelope"]
 
-TIMING_KEYS = frozenset({"elapsed_ms", "elapsed_s"})
+TIMING_KEYS = frozenset({"elapsed_ms", "elapsed_s", "timing"})
 
 
 def scrub(value: Any) -> Any:

@@ -37,6 +37,7 @@ __all__ = [
     "word_rank",
     "word_at_rank",
     "left_mul_ranks",
+    "invert_ranks",
     "parse_word",
 ]
 
@@ -193,6 +194,41 @@ def left_mul_ranks(word: str, ranks, depth: int) -> tuple[np.ndarray, np.ndarray
         r[~ok] = 0
     r[~ok] = -1
     return r, ok
+
+
+def invert_ranks(ranks, depth: int) -> np.ndarray:
+    """Ranks of the inverses of the words with the given ranks, all in the
+    ball of radius ``depth``; a -1 entry stays -1.
+
+    The inverse reverses the letters and inverts each, so it keeps the
+    length: each rank is read as its letters (first letter, then one digit
+    per later letter) and the inverted letters are read back in reverse
+    order, as digits again, without forming any string.
+    """
+    r = np.array(ranks, dtype=np.int64)
+    pow3 = 3 ** np.arange(depth + 1, dtype=np.int64)
+    starts = 2 * pow3 - 1  # starts[l - 1]: rank of the first word of length l
+    length = np.searchsorted(starts, r, side="right")
+    lm1 = np.maximum(length - 1, 0)
+    first, rest = np.divmod(r - starts[lm1], pow3[lm1])
+    # the letters of every word, left to right, padded past its length
+    letters = np.zeros((max(depth, 1), r.size), dtype=np.int64)
+    letters[0] = np.maximum(first, 0)
+    for k in range(1, depth):
+        digit = (rest // pow3[np.maximum(length - 1 - k, 0)]) % 3
+        letters[k] = np.where(k < length, _AFTER[letters[k - 1], digit], 0)
+    # the inverse's k-th letter is the inverse of letter length-1-k
+    cols = np.arange(r.size)
+    prev = letters[lm1, cols] ^ 1
+    within = prev.copy()
+    for k in range(1, depth):
+        cur = letters[np.maximum(length - 1 - k, 0), cols] ^ 1
+        more = k < length
+        within = np.where(more, within * 3 + _DIGIT[prev, cur], within)
+        prev = np.where(more, cur, prev)
+    out = np.where(length > 0, starts[lm1] + within, 0)
+    out[r < 0] = -1
+    return out
 
 
 def parse_word(text: str) -> str:

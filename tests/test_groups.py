@@ -2,11 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealpack import bitops
-from idealpack.errors import InvalidParam, InvalidTable, ScaleMismatch, ShiftOutOfBudget
+from idealpack.errors import InvalidParam, InvalidTable, KindMismatch, ScaleMismatch, ShiftOutOfBudget
 from idealpack.groups import (
     CayleyGroup,
     FreeGroup2,
@@ -122,6 +123,57 @@ def test_cayley_translate_matches_row_loop(table_and_e, data):
     assert g.translate_bits(h, bits) == (_row_loop_translate(table, h, bits), 0)
     # callers that decode the set once translate its positions directly
     assert g.translate_positions(h, bitops.positions_from_bits(bits, g.size)) == g.translate_bits(h, bits)
+
+
+def _index_groups():
+    return ([CayleyGroup(*t) for t in _TABLES] + [ZModGroup(n) for n in (1, 7, 24)]
+            + [FreeGroup2(d) for d in (1, 3, 4)])
+
+
+@pytest.mark.parametrize("group", _index_groups(), ids=lambda g: f"{g.kind}-{g.size}")
+def test_index_arrays_match_element_arithmetic(group):
+    # translate_index and differences against mul and inv, element by element
+    rng = np.random.default_rng(group.size)
+    gs = rng.choice(group.size, size=min(group.size, 9), replace=False)
+    hs = rng.choice(group.size, size=min(group.size, 13), replace=False)
+    at = group.elem_at
+
+    def index_or_out(elem):
+        if group.kind == "free-2" and len(elem) > group.depth:
+            return -1
+        return group.index(elem)
+
+    moved = group.translate_index(gs, hs)
+    for i, g in enumerate(gs.tolist()):
+        for j, h in enumerate(hs.tolist()):
+            assert moved[i, j] == index_or_out(group.mul(at(g), at(h)))
+    # both shapes: the free group reads differences off the shorter side
+    for rows, cols in ((gs, hs), (hs, gs)):
+        diffs = group.differences(rows, cols)
+        for i, g in enumerate(rows.tolist()):
+            for j, h in enumerate(cols.tolist()):
+                assert diffs[i, j] == index_or_out(group.mul(group.inv(at(g)), at(h)))
+    assert group.translation_is_exact == (group.kind != "free-2")
+
+
+def test_translator_count():
+    assert CayleyGroup(*symmetric_table(3)).translator_count(0) == 6
+    assert FreeGroup2(4).translator_count(2) == ball_size(2)
+    assert FreeGroup2(4).translator_count(9) == ball_size(4)
+    with pytest.raises(KindMismatch):
+        ZModGroup(5).translator_count(1)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**40), st.data())
+@settings(max_examples=100, deadline=None)
+def test_zwindow_tally_counts_the_bits_pushed_out(margin, bits, data):
+    # the tally is every input bit (those beyond the window included) minus
+    # the bits of the result
+    g = ZWindowGroup(Window(0, 2 * margin + data.draw(st.integers(0, 20)), margin=margin))
+    s = data.draw(st.integers(-margin, margin))
+    out, tally = g.translate_bits(s, bits)
+    want = (bits << s) & g.full_mask if s >= 0 else bits >> -s
+    assert (out, tally) == (want, bits.bit_count() - want.bit_count())
 
 
 def _first_associativity_failure(table):

@@ -15,7 +15,8 @@ from idealpack.errors import (
     NotFoundAtScale,
     RangeExceedsMargin,
 )
-from idealpack.groups import MaterializedSet, Window, ZModGroup, ZWindowGroup
+from idealpack import bitops
+from idealpack.groups import CayleyGroup, FreeGroup2, MaterializedSet, Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.largesmall import (
     _OUTCOMES,
@@ -25,6 +26,8 @@ from idealpack.largesmall import (
     SmallnessEvidence,
     _gap_steps,
     _general_family_check,
+    _hits_by_candidate,
+    _hits_by_residual,
     _ZRuns,
     gap_profile,
     is_ideal_small,
@@ -32,6 +35,8 @@ from idealpack.largesmall import (
     residual_profile,
     spiral_shifts,
 )
+from idealpack.words import enumerate_ball
+from test_groups import dihedral_table, symmetric_table
 
 
 def test_spiral_shifts():
@@ -477,3 +482,82 @@ def test_zero_prefix_depth_is_a_usage_error():
     A = g.empty_set()
     outcome, k = _ZRuns(A, 0, 0, inner).check(np.array([[0]]))
     assert (_OUTCOMES[outcome[0]], int(k[0])) == _general_family_check(A, TrivialIdeal(), [0], inner)
+
+
+# -- greedy cover on the table carriers ---------------------------------------------
+
+
+def _frozen_greedy_large(A, ideal, bounds, region_mask):
+    """The greedy cover as it was before the hit matrix: every round
+    translates the base by every candidate as a bitset and keeps the first
+    largest gain.  (family, residual size), or NotFoundAtScale."""
+    group = A.group
+    if isinstance(group, CayleyGroup):
+        candidates = list(range(group.size))
+        rmask = region_mask
+    else:
+        candidates = list(enumerate_ball(min(bounds.shift_range, group.depth)))
+        rmask = region_mask & group.exact_core_mask([candidates[-1]])
+    base = A.bits & region_mask
+    family, acc = [], 0
+    best_size, best_family = None, []
+    for _ in range(bounds.max_f):
+        residual = rmask & ~acc
+        size = residual.bit_count()
+        if ideal.member(MaterializedSet(group, residual)):
+            return family, size
+        if best_size is None or size < best_size:
+            best_size, best_family = size, list(family)
+        chosen, chosen_bits, chosen_gain = None, 0, 0
+        for cand in candidates:
+            tb = group.translate_bits(cand, base)[0]
+            gain = (tb & residual).bit_count()
+            if gain > chosen_gain:
+                chosen, chosen_bits, chosen_gain = cand, tb, gain
+        if chosen is None:
+            break
+        family.append(chosen)
+        acc |= chosen_bits
+    residual = rmask & ~acc
+    size = residual.bit_count()
+    if ideal.member(MaterializedSet(group, residual)):
+        return family, size
+    if best_size is None or size < best_size:
+        best_size, best_family = size, list(family)
+    raise NotFoundAtScale(f"no cover with |F| <= {bounds.max_f}", best_family=best_family,
+                          best_residual_size=best_size)
+
+
+_TABLE_CARRIERS = [CayleyGroup(*t) for t in (symmetric_table(3), symmetric_table(4), dihedral_table(5),
+                                              dihedral_table(11))] + [FreeGroup2(d) for d in range(1, 6)]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_greedy_cover_matches_frozen_bitset_loop(data):
+    group = data.draw(st.sampled_from(_TABLE_CARRIERS), label="group")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dens = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9]))
+    A = MaterializedSet(group, bitops.bits_from_array(rng.random(group.size) < dens))
+    ideal = data.draw(st.one_of(st.just(TrivialIdeal()), st.integers(1, 6).map(FiniteSetsIdeal)),
+                      label="ideal")
+    bounds = LargeBounds(max_f=data.draw(st.integers(1, 12)), shift_range=data.draw(st.integers(0, 6)))
+    cut = data.draw(st.integers(0, group.size))
+    region = data.draw(st.sampled_from([
+        group.full_mask,
+        bitops.bits_from_array(rng.random(group.size) < 0.7),
+        (1 << cut) - 1,  # on the free group, balls are prefixes
+        0,
+    ]), label="region")
+    def new():
+        w = is_large(A, ideal, bounds, region_mask=region)
+        return w.family, w.residual_size
+
+    assert _outcome(new) == _outcome(lambda: _frozen_greedy_large(A, ideal, bounds, region))
+    # the cover reads one matrix, whichever side builds it
+    base = bitops.positions_from_bits(A.bits & region, group.size)
+    rows = bitops.positions_from_bits(region, group.size)
+    count = group.translator_count(bounds.shift_range)
+    by_candidate = _hits_by_candidate(group, base, rows, count)
+    assert by_candidate.shape == (rows.size, count)
+    assert np.array_equal(by_candidate, _hits_by_residual(group, base, rows, count))

@@ -21,6 +21,8 @@ from idealpack.packing import (
     pack_greedy,
     pack_profile,
 )
+from idealpack.reports import strip_timing
+from test_groups import dihedral_table, symmetric_table
 
 
 def brute_pack(A, ideal, candidates, n):
@@ -64,11 +66,80 @@ def test_zmod_pair_oracle_matches_literal(ps):
     A = g.set_of(ps)
     candidates = list(range(8))
     fast = ConflictOracle(A, TrivialIdeal(), candidates, 2)
-    assert fast._mode == "z-mod-pairs"
+    assert fast._mode == "element-pairs"
     for i, j in itertools.combinations(range(8), 2):
         bi, _ = g.translate_bits(i, A.bits)
         bj, _ = g.translate_bits(j, A.bits)
         assert fast.is_edge((i, j)) == ((bi & bj) != 0)
+
+
+def _literal_pair_edge(A, ideal, g, h):
+    """The definition of a pair conflict: translate, intersect, ask the ideal."""
+    group = A.group
+    inter = group.translate_bits(g, A.bits)[0] & group.translate_bits(h, A.bits)[0]
+    return not ideal.member(MaterializedSet(group, inter))
+
+
+_ELEMENT_CARRIERS = [CayleyGroup(*t) for t in (symmetric_table(4), dihedral_table(5), dihedral_table(11))] + [
+    ZModGroup(n) for n in (1, 2, 7, 24, 31)
+]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_element_pair_table_matches_literal_intersection(data):
+    group = data.draw(st.sampled_from(_ELEMENT_CARRIERS), label="group")
+    A = group.set_of(data.draw(st.sets(st.integers(0, group.size - 1), max_size=12), label="A"))
+    ideal = data.draw(st.one_of(st.just(TrivialIdeal()), st.integers(1, 5).map(FiniteSetsIdeal)),
+                      label="ideal")
+    if group.kind == "z-mod":
+        # any integers, so that two candidates may name one element
+        cands = data.draw(st.lists(st.integers(-40, 40), unique=True, max_size=16), label="cands")
+    else:
+        cands = data.draw(st.permutations(range(group.size)), label="cands")[: data.draw(st.integers(0, 16))]
+    if group.kind == "z-mod" and ideal.kind == "finite-sets":
+        # finite-sets is not proper on a finite cyclic group
+        with pytest.raises(InvalidParam):
+            _literal_pair_edge(A, ideal, 0, 0)
+        with pytest.raises(InvalidParam):
+            ConflictOracle(A, ideal, cands, 2)
+        return
+    m = len(cands)
+    edge = [[i != j and _literal_pair_edge(A, ideal, cands[i], cands[j]) for j in range(m)] for i in range(m)]
+    bulk = ConflictOracle(A, ideal, cands, 2)
+    assert bulk._mode == "element-pairs"
+    order, rows = bulk.pair_rows()
+    for p, i in enumerate(order):
+        assert rows[p] == sum(1 << q for q, j in enumerate(order) if edge[i][j])
+    single = ConflictOracle(A, ideal, cands, 2)
+    for i, j in itertools.combinations(range(m), 2):
+        assert single.is_edge((i, j)) == edge[i][j]
+
+
+def test_element_pair_table_on_a_large_dense_set():
+    # over 512 elements and over one per 64 positions: the table is filled by
+    # one bitset AND per element instead of by gathers
+    g = ZModGroup(1200)
+    A = g.set_of(range(0, 1200, 2))
+    cands = [3, -8, 1205, 44, 617, 2, 999, -1]
+    oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
+    order, rows = oracle.pair_rows()
+    edge = [[i != j and _literal_pair_edge(A, TrivialIdeal(), g_, h) for j, h in enumerate(cands)]
+            for i, g_ in enumerate(cands)]
+    for p, i in enumerate(order):
+        assert rows[p] == sum(1 << q for q, j in enumerate(order) if edge[i][j])
+    assert edge[0][2] and not edge[0][1]  # A meets dA exactly for even d
+
+
+def test_packing_report_timing_is_stripped():
+    g = CayleyGroup(*symmetric_table(4))
+    A = g.set_of([0, 3, 7])
+    for report in (pack_exact(A, TrivialIdeal(), list(range(24)), 2), pack_greedy(A, TrivialIdeal(), list(range(24)), 2),
+                   pack_exact(A, TrivialIdeal(), list(range(8)), 3)):
+        payload = report.payload()
+        assert set(payload["timing"]) == {"rows_ms", "search_ms"}
+        assert all(v >= 0 for v in payload["timing"].values())
+        assert "timing" not in strip_timing(payload)
 
 
 def _zwindow_case(data):
@@ -105,10 +176,12 @@ def _general_window_case(data):
 
 _PAIR_CASES = {
     "z-window-pairs": _zwindow_case,
-    "z-mod-pairs": _zmod_case,
+    "element-pairs": _zmod_case,
     "cayley": _cayley_case,
     "general": _general_window_case,
 }
+# the oracle mode each case takes, where it is not the case's name
+_PAIR_MODES = {"cayley": "element-pairs"}
 
 
 @pytest.mark.parametrize("kind", sorted(_PAIR_CASES))
@@ -118,8 +191,7 @@ def test_pair_rows_match_is_edge(kind, data):
     A, ideal, cands = _PAIR_CASES[kind](data)
     m = len(cands)
     bulk = ConflictOracle(A, ideal, cands, 2)
-    if kind.endswith("-pairs"):
-        assert bulk._mode == kind
+    assert bulk._mode == _PAIR_MODES.get(kind, kind)
     order, rows = bulk.pair_rows()
     ref = ConflictOracle(A, ideal, cands, 2)
     adj = [[False] * m for _ in range(m)]

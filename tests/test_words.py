@@ -8,6 +8,7 @@ from idealpack.errors import InvalidParam
 from idealpack.words import (
     ball_size,
     enumerate_ball,
+    invert_ranks,
     invert_word,
     is_reduced,
     left_mul_ranks,
@@ -90,6 +91,14 @@ def test_left_mul_ranks_matches_string_products(depth, g):
             assert ok[r] and ranks[r] == word_rank(p), (g, r, p)
         else:
             assert not ok[r] and ranks[r] == -1, (g, r, p)
+
+
+@given(st.integers(min_value=0, max_value=7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_invert_ranks_matches_string_inverse(depth, data):
+    ranks = data.draw(st.lists(st.integers(-1, ball_size(depth) - 1), max_size=40))
+    want = [-1 if r < 0 else word_rank(invert_word(word_at_rank(r))) for r in ranks]
+    assert invert_ranks(np.array(ranks, dtype=np.int64), depth).tolist() == want
 
 
 def test_parse_word():
