@@ -21,7 +21,12 @@ __all__ = [
     "bits_from_array",
     "sorted_unique",
     "iter_bits",
+    "CHUNK_ITEMS",
 ]
+
+# Entries in the largest index or position array a chunked kernel builds at
+# once: 128 KiB per int64 temporary, so chunking adds little to peak memory.
+CHUNK_ITEMS = 1 << 14
 
 
 def mask(n: int) -> int:
@@ -47,8 +52,8 @@ def positions_from_bits(bits: int, size: int) -> np.ndarray:
     """Sorted int64 array of set-bit indices."""
     if bits == 0:
         return np.empty(0, dtype=np.int64)
-    if size > _STEP:
-        return np.concatenate(list(position_chunks(bits, 0, size - 1, _STEP)))
+    if size > CHUNK_ITEMS:
+        return np.concatenate(list(position_chunks(bits, 0, size - 1, CHUNK_ITEMS)))
     # on a small universe one unpacking pass costs less than skipping words
     buf = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(buf, bitorder="little", count=size).view(bool).nonzero()[0]
@@ -82,9 +87,6 @@ def position_chunks(bits: int, lo: int, hi: int, step: int) -> Iterator[np.ndarr
 def _unpack(words: np.ndarray) -> np.ndarray:
     """Bool array of the bits of little-endian 64-bit words, low bit first."""
     return np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
-
-
-_STEP = 1 << 14
 
 
 def bit_array(bits: int, size: int) -> np.ndarray:

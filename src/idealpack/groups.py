@@ -347,11 +347,7 @@ class CayleyGroup(_GroupBase):
         return i
 
     def translate_bits(self, g: int, bits: int) -> tuple[int, int]:
-        return self.translate_positions(g, bitops.positions_from_bits(bits, self.size))
-
-    def translate_positions(self, g: int, pos: np.ndarray) -> tuple[int, int]:
-        """``translate_bits`` of the set whose positions are given, for
-        callers that translate one decoded set many times."""
+        pos = bitops.positions_from_bits(bits, self.size)
         return _gather_translate((self._rows[g],), pos, self.size)
 
     def translate_index(self, gs: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -416,11 +412,7 @@ class FreeGroup2(_GroupBase):
         return words.enumerate_ball(self.depth)
 
     def translate_bits(self, g: str, bits: int) -> tuple[int, int]:
-        return self.translate_positions(g, bitops.positions_from_bits(bits, self.size))
-
-    def translate_positions(self, g: str, pos: np.ndarray) -> tuple[int, int]:
-        """``translate_bits`` of the set whose positions are given, for
-        callers that translate one decoded set many times."""
+        pos = bitops.positions_from_bits(bits, self.size)
         return _gather_translate(self._maps_of(g), pos, self.size)
 
     def translate_index(self, gs: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ answers are the bitset loop's, byte for byte.
 * Smallness reads them off FA, whose complement is the set to cover, cut to
   the family's exact core.  The families of one size are rows of a 2-D array
   (families x j|A'|), sorted row by row with runs read by value, in chunks
-  that start at one family and double up to ``_CHUNK_BYTES`` per int64
-  temporary; the scan stops at the first hard family.
+  that start at one family and double up to ``bitops.CHUNK_ITEMS`` entries
+  per int64 temporary; the scan stops at the first hard family.
 * A dense set (more than one position per 64-bit word of the window) has
   about as many runs as elements, so there bitsets are cheaper.  Largeness
   keeps the bitset loop, which stops at the first cover.  Smallness takes
@@ -104,11 +104,6 @@ __all__ = [
     "residual_profile",
     "spiral_shifts",
 ]
-
-# Size in bytes of the largest int64 temporary the run-length paths build
-# per chunk; one smallness family wider than that is still taken whole.
-_CHUNK_BYTES = 1 << 17
-_CHUNK_ITEMS = _CHUNK_BYTES // 8
 
 # family outcomes, as codes in the smallness scan
 _OUTCOMES = ("large", "hard", "inconclusive")
@@ -269,10 +264,10 @@ def _dense(count: int, size: int) -> bool:
 
 def _gap_lengths(bits: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Lengths of the runs of unset bits in [lo, hi], at most
-    ``_CHUNK_ITEMS`` at a time; the empty run between two adjacent set bits
-    counts as a 0."""
+    ``bitops.CHUNK_ITEMS`` at a time; the empty run between two adjacent set
+    bits counts as a 0."""
     last = -1  # the last set bit so far, relative to lo
-    for ones in bitops.position_chunks(bits, lo, hi, _CHUNK_ITEMS):
+    for ones in bitops.position_chunks(bits, lo, hi, bitops.CHUNK_ITEMS):
         yield np.diff(ones, prepend=last) - 1
         last = int(ones[-1])
     yield np.array([hi - lo - last])
@@ -449,14 +444,14 @@ def _hit_matrix(group: Group, base: np.ndarray, rows: np.ndarray, count: int) ->
 
 def _hits_by_candidate(group: Group, base: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     """``_hit_matrix`` a column at a time: each translate c·B is one row of
-    ``translate_index``, ``_CHUNK_ITEMS`` entries at a time."""
+    ``translate_index``, ``bitops.CHUNK_ITEMS`` entries at a time."""
     # the row of each position of R; the last slot takes everything else,
     # the -1 of a product outside the universe included
     row_of = np.full(group.size + 1, rows.size)
     row_of[rows] = np.arange(rows.size)
     hits = np.zeros((rows.size + 1, count), dtype=bool)
     cands = np.arange(count)
-    step = max(1, _CHUNK_ITEMS // max(1, base.size))
+    step = max(1, bitops.CHUNK_ITEMS // max(1, base.size))
     for lo in range(0, count, step):
         part = cands[lo : lo + step]
         hits[row_of[group.translate_index(part, base)], part[:, None]] = True
@@ -466,14 +461,14 @@ def _hits_by_candidate(group: Group, base: np.ndarray, rows: np.ndarray, count: 
 def _hits_by_residual(group: Group, base: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     """``_hit_matrix`` a row at a time: x lies in c·B exactly when c⁻¹x lies
     in B, so one column of ``differences`` reads x against the candidates,
-    ``_CHUNK_ITEMS`` of them at a time."""
+    ``bitops.CHUNK_ITEMS`` of them at a time."""
     in_base = np.zeros(group.size + 1, dtype=bool)  # the last slot reads -1
     in_base[base] = True
     hits = np.empty((rows.size, count), dtype=bool)
-    step = max(1, _CHUNK_ITEMS // count)
+    step = max(1, bitops.CHUNK_ITEMS // count)
     for lo in range(0, rows.size, step):
-        for first in range(0, count, _CHUNK_ITEMS):
-            cands = np.arange(first, min(first + _CHUNK_ITEMS, count))
+        for first in range(0, count, bitops.CHUNK_ITEMS):
+            cands = np.arange(first, min(first + bitops.CHUNK_ITEMS, count))
             diffs = group.differences(cands, rows[lo : lo + step])
             hits[lo : lo + step, first : first + cands.size] = in_base[diffs].T
     return hits
@@ -594,7 +589,7 @@ class _ZRuns:
     def row_items(self, j: int) -> int:
         """int64 entries per family in the widest temporary of ``check``."""
         if self.dense(j):
-            return _CHUNK_ITEMS
+            return bitops.CHUNK_ITEMS
         return max(1, j * self.pos.size, self.kmax + 2 if self.cutoff else 0)
 
     def check(self, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -678,12 +673,12 @@ class _ZRuns:
 def _run_chunks(runs: _ZRuns, pool: list, m: int):
     """(index combos, outcome codes, ks) for the families of sizes 1..m in
     enumeration order, a chunk at a time: chunks start at one family, so an
-    early counterexample costs little, and double up to ``_CHUNK_ITEMS``.
+    early counterexample costs little, and double up to ``bitops.CHUNK_ITEMS``.
     The codes and ks are lists, as ``check`` gives them."""
     shifts = np.array(pool, dtype=np.int64)
     for j in range(1, m + 1):
         combos = itertools.combinations(range(len(pool)), j)
-        limit = max(1, _CHUNK_ITEMS // runs.row_items(j))
+        limit = max(1, bitops.CHUNK_ITEMS // runs.row_items(j))
         rows = 1
         while True:
             chunk = itertools.chain.from_iterable(itertools.islice(combos, rows))

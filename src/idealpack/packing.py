@@ -65,12 +65,6 @@ __all__ = [
 ]
 
 _CACHE_BYTE_LIMIT = 256 * 1024 * 1024
-# entries in the largest index array the pair modes build at once (128 KiB
-# per int64 temporary, so that building rows adds little to peak memory)
-_GATHER_ITEMS = 1 << 14
-# the element pair table gathers through sets up to this size, and through
-# larger ones with at most one element per 64 universe positions
-_GATHER_SET = 512
 
 
 @dataclass
@@ -147,8 +141,8 @@ class ConflictOracle:
 
     * ``element-pairs``, where translation is exact (Z_N, Cayley tables):
       gA ∩ hA = g(A ∩ g⁻¹hA), so the pair conflicts exactly when
-      |A ∩ dA| at d = g⁻¹h is above the cutoff; the table holds |A ∩ dA|
-      per element d.
+      |A ∩ dA| at d = g⁻¹h is above the cutoff; the table holds that
+      decision per element d, counted by gathers through A's positions.
     * ``z-window-pairs``, trivial ideal, shifts b <= c: the translates meet
       on the exact core iff A meets A-d at a position u <= hi-c, so the
       least such u is kept per difference d = c-b.
@@ -167,8 +161,6 @@ class ConflictOracle:
         self.edges_evaluated = 0
         self._memo: dict[tuple, bool] = {}
         self._mode = "general"
-        # A as a bool array, where the element table is filled by gathers
-        self._in_A: Optional[np.ndarray] = None
         cutoff = ideal.cardinality_cutoff() if n == 2 else None
         if cutoff is not None and self.group.translation_is_exact:
             self._mode = "element-pairs"
@@ -177,15 +169,15 @@ class ConflictOracle:
             ideal.member(self.group.empty_set())
             self._index = np.array([self.group.index(c) for c in self.cands], dtype=np.int64)
             self._positions = bitops.positions_from_bits(A.bits, self.group.size)
-            # |A ∩ dA| per element index d; -1 until decided
-            self._diff = np.full(self.group.size, -1, dtype=np.int64)
-            # by gathers through A's positions, unless A is large and dense:
-            # then one bitset AND per element costs less
-            if self._positions.size <= max(_GATHER_SET, self.group.size // 64):
-                self._in_A = np.zeros(self.group.size, dtype=bool)
-                self._in_A[self._positions] = True
-            # the conflict rows ``is_edge`` has read, by candidate index
-            self._row_cache: dict[int, list] = {}
+            self._in_A = np.zeros(self.group.size, dtype=bool)
+            self._in_A[self._positions] = True
+            # 1 where |A ∩ dA| is above the cutoff at element index d, else 0;
+            # -1 until decided
+            self._diff = np.full(self.group.size, -1, dtype=np.int8)
+            # the conflict rows ``is_edge`` has read, by candidate index, as
+            # packed bits (bit j of byte j >> 3): m bits a row, one byte read
+            # a lookup
+            self._row_cache: dict[int, bytes] = {}
         elif cutoff == 0 and isinstance(self.group, ZWindowGroup) and all(
             isinstance(c, int) and c >= 0 for c in self.cands
         ):
@@ -206,28 +198,27 @@ class ConflictOracle:
 
     # -- helpers -----------------------------------------------------------
     def _decide_diff(self, d: int) -> int:
-        """One entry of the per-difference table (see the class doc)."""
-        if self._mode == "z-window-pairs":
-            p = self._positions
-            inter = np.intersect1d(p, p - d, assume_unique=True)
-            return int(inter[0]) if inter.size else self.group.size
-        bits = self.A.bits
-        return (bits & self.group.translate_bits(self.group.elem_at(d), bits)[0]).bit_count()
+        """The least witness for shift difference d (``z-window-pairs``)."""
+        p = self._positions
+        inter = np.intersect1d(p, p - d, assume_unique=True)
+        return int(inter[0]) if inter.size else self.group.size
 
     def _decide_diffs(self, ds: np.ndarray) -> None:
         """Fill the per-difference table at the distinct undecided ``ds``:
-        one at a time, or by gathers through A's positions."""
-        if self._in_A is None:
+        one at a time on a Z window; by gathers through A's positions where
+        translation is exact, the whole table in one gather when it is small."""
+        if self._mode == "z-window-pairs":
             for d in ds.tolist():
                 self._diff[d] = self._decide_diff(d)
             return
         p = self._positions
-        if self.group.size * p.size <= _GATHER_ITEMS:
-            ds = np.arange(self.group.size)  # the whole table in one gather
-        step = max(1, _GATHER_ITEMS // max(1, p.size))
+        if self.group.size * p.size <= bitops.CHUNK_ITEMS:
+            ds = np.arange(self.group.size)
+        step = max(1, bitops.CHUNK_ITEMS // max(1, p.size))
         for lo in range(0, ds.size, step):
             part = ds[lo : lo + step]
-            self._diff[part] = self._in_A[self.group.translate_index(part, p)].sum(axis=1)
+            counts = self._in_A[self.group.translate_index(part, p)].sum(axis=1)
+            self._diff[part] = counts > self._cutoff
 
     def _diff_value(self, d: int) -> int:
         v = int(self._diff[d])
@@ -256,9 +247,13 @@ class ConflictOracle:
         else:
             # |A ∩ dA| = |A ∩ d⁻¹A|, so either order of a pair reads the same
             ds = self.group.differences(self._index[lo:hi], self._index)
-            block = self._diff_values(ds) > self._cutoff
+            block = self._diff_values(ds) > 0
         block[rows - lo, rows] = False
         return block
+
+    def _row_step(self) -> int:
+        """Conflict rows per block: ``bitops.CHUNK_ITEMS`` entries."""
+        return max(1, bitops.CHUNK_ITEMS // max(1, len(self.cands)))
 
     def _translate(self, idx: int) -> int:
         if self._tcache is not None:
@@ -278,11 +273,16 @@ class ConflictOracle:
             return self._diff_value(min(c - b, self._diff.size - 1)) <= self.group.size - 1 - c
         if self._mode == "element-pairs":
             self.edges_evaluated += 1
-            i = combo[0]
+            i, j = combo
             row = self._row_cache.get(i)
             if row is None:
-                row = self._row_cache[i] = self._pair_rows_block(i, i + 1)[0].tolist()
-            return row[combo[1]]
+                # the block of rows around i that ``pair_rows`` builds at once
+                lo = i - i % self._row_step()
+                block = self._pair_rows_block(lo, min(lo + self._row_step(), len(self.cands)))
+                for k, packed in enumerate(np.packbits(block, axis=1, bitorder="little"), lo):
+                    self._row_cache[k] = packed.tobytes()
+                row = self._row_cache[i]
+            return bool(row[j >> 3] >> (j & 7) & 1)
         hit = self._memo.get(combo)
         if hit is not None:
             return hit
@@ -320,7 +320,7 @@ class ConflictOracle:
         else:
             self.edges_evaluated += m * (m - 1) // 2
             adj = []
-            step = max(1, _GATHER_ITEMS // max(1, m))
+            step = self._row_step()
             for lo in range(0, m, step):
                 block = self._pair_rows_block(lo, min(lo + step, m))
                 adj.extend(bitops.bits_from_array(row) for row in block)

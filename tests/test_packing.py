@@ -116,9 +116,9 @@ def test_element_pair_table_matches_literal_intersection(data):
         assert single.is_edge((i, j)) == edge[i][j]
 
 
-def test_element_pair_table_on_a_large_dense_set():
-    # over 512 elements and over one per 64 positions: the table is filled by
-    # one bitset AND per element instead of by gathers
+def test_element_pair_table_on_a_large_set():
+    # 1200 elements times 600 positions is far past one gather: the table is
+    # filled in chunks of elements
     g = ZModGroup(1200)
     A = g.set_of(range(0, 1200, 2))
     cands = [3, -8, 1205, 44, 617, 2, 999, -1]
@@ -129,6 +129,22 @@ def test_element_pair_table_on_a_large_dense_set():
     for p, i in enumerate(order):
         assert rows[p] == sum(1 << q for q, j in enumerate(order) if edge[i][j])
     assert edge[0][2] and not edge[0][1]  # A meets dA exactly for even d
+
+
+def test_greedy_pair_rows_cached_as_packed_bits():
+    # A = {0, 1} on Z_1024 keeps every even shift; the oracle caches the
+    # conflict rows the scan reads, each m packed bits, beside one byte per
+    # group element
+    g = ZModGroup(1024)
+    A = g.set_of([0, 1])
+    cands = list(range(1024))
+    oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
+    report = pack_greedy(A, TrivialIdeal(), cands, 2, oracle=oracle)
+    assert report.family == list(range(0, 1024, 2))
+    cache = oracle._row_cache
+    assert 0 < len(cache) <= len(cands)
+    assert all(isinstance(row, bytes) and len(row) == 1024 // 8 for row in cache.values())
+    assert oracle._diff.nbytes == g.size
 
 
 def test_packing_report_timing_is_stripped():
