@@ -236,8 +236,10 @@ def _cmd_pack(args, cfg) -> tuple[dict, int]:
         candidates = _parse_int_list(str(shifts_spec))
         needed = max((abs(c) for c in candidates), default=0)
     group = _build_group(args, cfg, needed)
-    if isinstance(group, FreeGroup2) and translators_spec is None:
+    if group.depth is not None and translators_spec is None:
         raise InvalidParam("packing on the free group needs --translators")
+    if group.depth is None and translators_spec is not None:
+        raise InvalidParam("--translators names free-group words; give --shifts on this group")
     A, expr, label = _the_set(args, cfg, catalog, group)
     ideal = _build_ideal(args, cfg, catalog)
     exact = bool(_opt(args, cfg, "pack", "exact", False))

@@ -39,14 +39,7 @@ from .errors import (
     PreconditionFailed,
     ShiftOutOfBudget,
 )
-from .groups import (
-    CayleyGroup,
-    FreeGroup2,
-    Group,
-    MaterializedSet,
-    ZModGroup,
-    ZWindowGroup,
-)
+from .groups import Group, MaterializedSet
 from .ideals import max_window_count
 
 __all__ = [
@@ -89,10 +82,10 @@ def folner_set(test_set: Sequence, n: int, group: Group) -> FolnerCertificate:
     """Interval [0, L), L = 2*n*max|x| + 1, on Z; the whole group when finite."""
     if n < 1:
         raise InvalidParam(f"tolerance index must be >= 1, got {n}")
-    if isinstance(group, FreeGroup2):
+    if group.depth is not None:
         raise InvalidParam("the free group is not amenable: it has no Følner sets")
     F = tuple(test_set)
-    if isinstance(group, (ZModGroup, CayleyGroup)):
+    if group.translation_is_exact:  # a finite group: translates of G are G
         ratios = {}
         full = group.full_mask
         for x in F:
@@ -333,7 +326,7 @@ def counting_bound_check(
     else:
         value = Fraction(A.cardinality(), group.size)
         uniform = True
-    if isinstance(group, ZWindowGroup):
+    if group.margin is not None:
         maxshift = max(abs(int(c)) for c in fam)
         tolerance = Fraction(2 * maxshift, group.size)
     else:

@@ -104,7 +104,7 @@ def family_disjoint(
     """
     t0 = time.perf_counter()
     group = base.group
-    if not isinstance(group, FreeGroup2):
+    if group.depth is None:
         raise InvalidParam("disjointness checking runs on the free group")
     if n < 2:
         raise InvalidParam(f"need n >= 2, got {n}")

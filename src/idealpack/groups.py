@@ -20,6 +20,23 @@ A :class:`MaterializedSet` is a bitset over one group's universe plus the
 tally of elements lost to truncation.  Boolean operations require both
 operands to live on the same group and raise :class:`ScaleMismatch`
 otherwise.
+
+Which carrier a set lives on is decided here and nowhere else: no other
+module tests the carrier class.  They read the facts a carrier owns, each
+``None`` where it does not apply, and act on their values:
+
+* ``margin`` — the Z window's declared shift margin;
+* ``modulus`` — N on Z_N;
+* ``depth`` — the word-ball radius on F2;
+* ``span`` — the integer ``(lo, hi)`` the two integer carriers evaluate on
+  (the window, or ``(0, N-1)``);
+* ``translation_is_exact`` — whether translates stay whole (Z_N, Cayley
+  tables).
+
+Where the carriers really differ, they answer through one method each:
+``family_pool`` (the translators a smallness search enumerates),
+``candidates`` (the default packing candidates and their range rules) and
+``check_translators`` (which candidate lists packing accepts).
 """
 
 from __future__ import annotations
@@ -36,6 +53,7 @@ from .errors import (
     InvalidParam,
     InvalidTable,
     KindMismatch,
+    RangeExceedsMargin,
     ScaleMismatch,
     ShiftOutOfBudget,
 )
@@ -96,6 +114,11 @@ class _GroupBase:
     # whether every translate of every set stays whole (nothing is pushed out
     # of the universe), so that |gA ∩ hA| = |A ∩ g⁻¹hA| holds exactly
     translation_is_exact = False
+    # the carrier facts (see the module docstring); None where they do not apply
+    margin: int | None = None
+    modulus: int | None = None
+    depth: int | None = None
+    span: tuple[int, int] | None = None
 
     # -- element protocol -------------------------------------------------
     def identity(self):
@@ -132,6 +155,21 @@ class _GroupBase:
         below the count, which are those of length at most ``radius``."""
         raise KindMismatch(f"no greedy cover for kind {self.kind!r}")
 
+    # -- translator lists ----------------------------------------------------
+    def family_pool(self, s: int) -> list:
+        """The translators a smallness search draws its families from, in
+        enumeration order: every element on a finite table."""
+        return list(range(self.size))
+
+    def candidates(self, shift_range: int | None = None, word_len: int | None = None) -> list:
+        """The default packing candidates: every element of a finite group."""
+        return list(range(self.size))
+
+    def check_translators(self, cands: Sequence) -> None:
+        """Raise unless ``cands`` name distinct elements, each one a valid
+        element (:meth:`index`) of this group."""
+        _require_distinct([self.index(c) for c in cands])
+
     # -- bitset protocol ---------------------------------------------------
     @property
     def full_mask(self) -> int:
@@ -142,8 +180,9 @@ class _GroupBase:
         raise NotImplementedError
 
     def exact_core_mask(self, shifts: Sequence) -> int:
-        """Mask of positions where an intersection of these translates is exact."""
-        raise NotImplementedError
+        """Mask of positions where an intersection of these translates is
+        exact: everywhere, where translates stay whole."""
+        return self.full_mask
 
     def core_mask(self) -> int:
         """Conservative core honoring the full declared margin."""
@@ -179,6 +218,8 @@ class ZWindowGroup(_GroupBase):
     def __init__(self, window: Window):
         self.window = window
         self.size = window.size
+        self.margin = window.margin
+        self.span = (window.lo, window.hi)
 
     def identity(self) -> int:
         return 0
@@ -227,6 +268,26 @@ class ZWindowGroup(_GroupBase):
         m = self.window.margin
         return bitops.mask(self.size - 2 * m) << m
 
+    def family_pool(self, s: int) -> list[int]:
+        return spiral_shifts(s)
+
+    def candidates(self, shift_range: int | None = None, word_len: int | None = None) -> list[int]:
+        """[0..shift_range], within the margin."""
+        if shift_range is None:
+            raise InvalidParam("Z-window candidates need a shift range")
+        if shift_range < 0:
+            raise InvalidParam("shift range must be >= 0")
+        if shift_range > self.margin:
+            raise RangeExceedsMargin(f"shift range {shift_range} exceeds margin {self.margin}")
+        return list(range(shift_range + 1))
+
+    def check_translators(self, cands: Sequence[int]) -> None:
+        """Distinct shifts, each within the declared margin."""
+        _require_distinct(cands)
+        for g in cands:
+            if abs(g) > self.margin:
+                raise ShiftOutOfBudget(f"shift {g} exceeds declared margin {self.margin}")
+
     def descriptor(self) -> dict:
         return {
             "kind": self.kind,
@@ -247,6 +308,7 @@ class ZModGroup(_GroupBase):
             raise InvalidParam("modulus must be >= 1")
         self.modulus = modulus
         self.size = modulus
+        self.span = (0, modulus - 1)
 
     def identity(self) -> int:
         return 0
@@ -274,9 +336,6 @@ class ZModGroup(_GroupBase):
 
     def differences(self, gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
         return (hs - np.asarray(gs)[:, None]) % self.modulus
-
-    def exact_core_mask(self, shifts: Sequence[int]) -> int:
-        return self.full_mask
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "modulus": self.modulus}
@@ -359,9 +418,6 @@ class CayleyGroup(_GroupBase):
     def translator_count(self, radius: int) -> int:
         return self.size
 
-    def exact_core_mask(self, shifts: Sequence) -> int:
-        return self.full_mask
-
     def descriptor(self) -> dict:
         return {"kind": self.kind, "table": self.table, "identity": self.identity_index}
 
@@ -440,6 +496,21 @@ class FreeGroup2(_GroupBase):
     def translator_count(self, radius: int) -> int:
         return words.ball_size(min(radius, self.depth))
 
+    def family_pool(self, s: int) -> list[str]:
+        return list(words.enumerate_ball(min(s, self.depth)))
+
+    def candidates(self, shift_range: int | None = None, word_len: int | None = None) -> list[str]:
+        """The words of length at most ``word_len``, in shortlex order."""
+        if word_len is None:
+            raise InvalidParam("free-group candidates need a word length")
+        if not (0 <= word_len <= self.depth):
+            raise RangeExceedsMargin(f"translator length {word_len} exceeds ball depth {self.depth}")
+        return list(words.enumerate_ball(word_len))
+
+    def check_translators(self, cands: Sequence[str]) -> None:
+        """Distinct words, as given."""
+        _require_distinct(cands)
+
     def _maps_of(self, g: str) -> list[np.ndarray]:
         """The letter maps that translate by ``g``, in the order they apply."""
         if self._letter_maps is None:
@@ -478,6 +549,11 @@ def spiral_shifts(s: int) -> list[int]:
 
 
 _MAP_SLICE = 1 << 16
+
+
+def _require_distinct(keys: Sequence) -> None:
+    if len(set(keys)) != len(keys):
+        raise InvalidParam("candidate translators must be distinct")
 
 
 def _gather_translate(index_maps: Sequence[np.ndarray], pos: np.ndarray, size: int) -> tuple[int, int]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bitops
 from .errors import InvalidParam, KindMismatch, ScaleMismatch
-from .groups import Group, MaterializedSet, ZModGroup, ZWindowGroup, spiral_shifts
+from .groups import Group, MaterializedSet, spiral_shifts
 from .setexpr import SetExpr, Shift, materialize, print_set_expr, symbolic_finiteness
 
 __all__ = [
@@ -58,26 +58,20 @@ def max_window_count(A: MaterializedSet, length: int) -> tuple[int, int]:
     group = A.group
     if length < 1:
         raise InvalidParam("window length must be >= 1")
-    if isinstance(group, ZWindowGroup):
-        if length > group.size:
-            raise InvalidParam(f"schedule length {length} exceeds window size {group.size}")
-        arr = bitops.bit_array(A.bits, group.size)
-        cs = np.concatenate(([0], np.cumsum(arr, dtype=np.int64)))
-        counts = cs[length:] - cs[:-length]
-        p = int(np.argmax(counts))
-        return int(counts[p]), p
-    if isinstance(group, ZModGroup):
-        n = group.size
-        if length > n:
-            raise InvalidParam(f"schedule length {length} exceeds modulus {n}")
-        arr = bitops.bit_array(A.bits, n)
-        doubled = np.concatenate((arr, arr))
-        cs = np.concatenate(([0], np.cumsum(doubled, dtype=np.int64)))
-        counts = cs[length:] - cs[:-length]
-        counts = counts[:n]
-        p = int(np.argmax(counts))
-        return int(counts[p]), p
-    raise KindMismatch(f"window densities are not defined on kind {group.kind!r}")
+    if group.span is None:
+        raise KindMismatch(f"window densities are not defined on kind {group.kind!r}")
+    n = group.size
+    if length > n:
+        size_name = "window size" if group.modulus is None else "modulus"
+        raise InvalidParam(f"schedule length {length} exceeds {size_name} {n}")
+    arr = bitops.bit_array(A.bits, n)
+    if group.modulus is not None:
+        arr = np.concatenate((arr, arr))  # windows that run past N - 1 wrap to 0
+    cs = np.concatenate(([0], np.cumsum(arr, dtype=np.int64)))
+    # the windows starting at p = 0 .. n-1 (at most n - length + 1 on a window)
+    counts = (cs[length:] - cs[:-length])[:n]
+    p = int(np.argmax(counts))
+    return int(counts[p]), p
 
 
 class Ideal:
@@ -138,7 +132,7 @@ class FiniteSetsIdeal(Ideal):
                 f"cutoff {self.cutoff} is not below the universe size {A.group.size}; "
                 "the ideal would not be proper"
             )
-        if isinstance(A.group, ZModGroup):
+        if A.group.modulus is not None:
             raise InvalidParam("finite-sets is only proper on infinite group kinds")
         if expr is not None:
             return symbolic_finiteness(expr) == "finite"

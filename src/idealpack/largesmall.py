@@ -73,7 +73,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import bitops, words
+from . import bitops
 from .errors import (
     BudgetExceeded,
     InvalidParam,
@@ -81,15 +81,7 @@ from .errors import (
     NotFoundAtScale,
     RangeExceedsMargin,
 )
-from .groups import (
-    CayleyGroup,
-    FreeGroup2,
-    Group,
-    MaterializedSet,
-    ZModGroup,
-    ZWindowGroup,
-    spiral_shifts,
-)
+from .groups import Group, MaterializedSet, spiral_shifts
 from .ideals import Ideal, TrivialIdeal
 
 __all__ = [
@@ -208,23 +200,17 @@ def gap_profile(A: MaterializedSet) -> Optional[int]:
     singleton on a Z window has no consecutive pair and profiles as 0.
     """
     group = A.group
-    if isinstance(group, ZWindowGroup):
-        pos = bitops.positions_from_bits(A.bits & group.core_mask(), group.size)
-        if pos.size == 0:
-            return None
-        if pos.size == 1:
-            return 0
-        return int(np.diff(pos).max())
-    if isinstance(group, ZModGroup):
-        pos = bitops.positions_from_bits(A.bits, group.size)
-        if pos.size == 0:
-            return None
-        if pos.size == 1:
-            return group.size
-        diffs = np.diff(pos)
-        wrap = int(pos[0]) + group.size - int(pos[-1])
-        return max(int(diffs.max()), wrap)
-    raise KindMismatch(f"gap_profile is integer-specific, not for kind {group.kind!r}")
+    if group.span is None:
+        raise KindMismatch(f"gap_profile is integer-specific, not for kind {group.kind!r}")
+    pos = bitops.positions_from_bits(A.bits & group.core_mask(), group.size)
+    if pos.size == 0:
+        return None
+    if group.modulus is not None:
+        # the first element again, one turn on, closes the cycle
+        pos = np.append(pos, pos[0] + group.modulus)
+    if pos.size == 1:
+        return 0
+    return int(np.diff(pos).max())
 
 
 # --------------------------------------------------------------------------
@@ -277,10 +263,6 @@ def _gap_lengths(bits: int, lo: int, hi: int) -> Iterator[np.ndarray]:
 # largeness
 # --------------------------------------------------------------------------
 
-def _region_default(group: Group) -> int:
-    return group.full_mask
-
-
 def _prefix_large(
     A: MaterializedSet,
     ideal: Ideal,
@@ -291,10 +273,10 @@ def _prefix_large(
     group = A.group
     kmax = min(bounds.shift_range, bounds.max_f - 1)
     steps = None
-    if isinstance(group, ZWindowGroup):
-        if kmax > group.window.margin:
+    if group.margin is not None:
+        if kmax > group.margin:
             raise RangeExceedsMargin(
-                f"prefix depth {kmax} exceeds the declared margin {group.window.margin}"
+                f"prefix depth {kmax} exceeds the declared margin {group.margin}"
             )
         steps = _gap_steps(A, ideal, kmax, region_mask)
     if steps is None:
@@ -482,8 +464,8 @@ def is_large(
 ) -> LargenessWitness:
     """Find F with FA = G mod the ideal on the core; NotFoundAtScale otherwise."""
     ideal = ideal if ideal is not None else TrivialIdeal()
-    region = region_mask if region_mask is not None else _region_default(A.group)
-    if isinstance(A.group, (ZWindowGroup, ZModGroup)):
+    region = region_mask if region_mask is not None else A.group.full_mask
+    if A.group.span is not None:
         return _prefix_large(A, ideal, bounds, region)
     return _greedy_large(A, ideal, bounds, region)
 
@@ -491,17 +473,6 @@ def is_large(
 # --------------------------------------------------------------------------
 # smallness
 # --------------------------------------------------------------------------
-
-def _family_pool(group: Group, s: int) -> list:
-    if isinstance(group, ZWindowGroup):
-        return spiral_shifts(s)
-    if isinstance(group, FreeGroup2):
-        depth = min(s, group.depth)
-        return list(words.enumerate_ball(depth))
-    if isinstance(group, CayleyGroup):
-        return list(range(group.size))
-    raise KindMismatch(f"no smallness enumeration for kind {group.kind!r}")
-
 
 def _zmod_smallness(A: MaterializedSet, ideal: Ideal, bounds: SmallBounds) -> SmallnessEvidence:
     """Finite cyclic groups carry a unique proper invariant ideal, so nonempty
@@ -730,17 +701,17 @@ def is_ideal_small(
     the complement of FA stays I-large; see the module docstring for verdict
     semantics and enumeration order."""
     group = A.group
-    if isinstance(group, ZModGroup):
+    if group.modulus is not None:
         return _zmod_smallness(A, ideal, bounds)
     cutoff = None
-    if isinstance(group, ZWindowGroup):
+    if group.margin is not None:
         needed = max(bounds.s, min(bounds.inner.shift_range, bounds.inner.max_f - 1))
-        if needed > group.window.margin:
+        if needed > group.margin:
             raise RangeExceedsMargin(
-                f"smallness bounds need shifts up to {needed}, margin is {group.window.margin}"
+                f"smallness bounds need shifts up to {needed}, margin is {group.margin}"
             )
         cutoff = ideal.cardinality_cutoff()
-    pool = _family_pool(group, bounds.s)
+    pool = group.family_pool(bounds.s)
     total = sum(math.comb(len(pool), j) for j in range(1, bounds.m + 1))
     if total > bounds.cap:
         raise BudgetExceeded(

@@ -42,16 +42,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import bitops, words
-from .errors import BudgetExceeded, InvalidParam, RangeExceedsMargin
-from .groups import (
-    CayleyGroup,
-    FreeGroup2,
-    Group,
-    MaterializedSet,
-    ZModGroup,
-    ZWindowGroup,
-)
+from . import bitops
+from .errors import BudgetExceeded, InvalidParam
+from .groups import Group, MaterializedSet
 from .ideals import Ideal, TrivialIdeal
 from .setexpr import SetExpr
 
@@ -108,28 +101,8 @@ def candidate_translators(
     word_len: Optional[int] = None,
 ) -> list:
     """Deterministic candidate list: [0..R] on Z, everything on finite kinds,
-    the shortlex ball on the free group."""
-    if isinstance(group, ZWindowGroup):
-        if shift_range is None:
-            raise InvalidParam("Z-window candidates need a shift range")
-        if shift_range < 0:
-            raise InvalidParam("shift range must be >= 0")
-        if shift_range > group.window.margin:
-            raise RangeExceedsMargin(
-                f"shift range {shift_range} exceeds margin {group.window.margin}"
-            )
-        return list(range(shift_range + 1))
-    if isinstance(group, (ZModGroup, CayleyGroup)):
-        return list(range(group.size))
-    if isinstance(group, FreeGroup2):
-        if word_len is None:
-            raise InvalidParam("free-group candidates need a word length")
-        if not (0 <= word_len <= group.depth):
-            raise RangeExceedsMargin(
-                f"translator length {word_len} exceeds ball depth {group.depth}"
-            )
-        return list(words.enumerate_ball(word_len))
-    raise InvalidParam(f"unknown group kind {group.kind!r}")
+    the shortlex ball on the free group (``Group.candidates``)."""
+    return group.candidates(shift_range, word_len)
 
 
 class ConflictOracle:
@@ -148,11 +121,11 @@ class ConflictOracle:
       least such u is kept per difference d = c-b.
 
     Everything else intersects cached translate bitsets and asks the ideal.
+    The candidates are taken as given: ``pack_exact`` and ``pack_greedy``
+    check them (``Group.check_translators``) before building an oracle.
     """
 
     def __init__(self, A: MaterializedSet, ideal: Ideal, candidates: Sequence, n: int):
-        if len(set(candidates)) != len(candidates):
-            raise InvalidParam("candidate translators must be distinct")
         self.A = A
         self.group = A.group
         self.ideal = ideal
@@ -178,7 +151,7 @@ class ConflictOracle:
             # packed bits (bit j of byte j >> 3): m bits a row, one byte read
             # a lookup
             self._row_cache: dict[int, bytes] = {}
-        elif cutoff == 0 and isinstance(self.group, ZWindowGroup) and all(
+        elif cutoff == 0 and self.group.margin is not None and all(
             isinstance(c, int) and c >= 0 for c in self.cands
         ):
             self._mode = "z-window-pairs"
@@ -390,7 +363,7 @@ def pack_greedy(
     """Certified lower bound: scan candidates in order, keep the compatible ones."""
     t0 = time.perf_counter()
     ideal = ideal if ideal is not None else TrivialIdeal()
-    _validate_n(n)
+    _validate(A, candidates, n)
     short = _member_shortcut(A, ideal, candidates, n, expr, t0)
     if short is not None:
         return short
@@ -418,9 +391,11 @@ def pack_greedy(
     )
 
 
-def _validate_n(n: int) -> None:
+def _validate(A: MaterializedSet, candidates: Sequence, n: int) -> None:
+    """The usage errors of a packing query, whichever path answers it."""
     if n < 2:
         raise InvalidParam(f"packing arity must be >= 2, got {n}")
+    A.group.check_translators(candidates)
 
 
 def _exact_pairs(
@@ -564,7 +539,7 @@ def pack_exact(
     """
     t0 = time.perf_counter()
     ideal = ideal if ideal is not None else TrivialIdeal()
-    _validate_n(n)
+    _validate(A, candidates, n)
     short = _member_shortcut(A, ideal, candidates, n, expr, t0)
     if short is not None:
         return short

@@ -42,7 +42,7 @@ from .errors import (
     UnknownName,
     UnknownPrimitive,
 )
-from .groups import FreeGroup2, Group, MaterializedSet, ZModGroup, ZWindowGroup
+from .groups import Group, MaterializedSet
 
 __all__ = [
     "SetExpr",
@@ -357,8 +357,12 @@ def _triangular_upto(hi: int) -> np.ndarray:
     return bitops.sorted_unique(t[t <= hi])
 
 
-def _z_positions(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
-    """Sorted positions of the pointwise evaluation of ``expr`` on [lo, hi]."""
+def _z_positions(expr: SetExpr, lo: int, hi: int, wrap: int | None = None) -> np.ndarray:
+    """Sorted positions of the pointwise evaluation of ``expr`` on [lo, hi].
+
+    With ``wrap`` = N (on Z_N, [lo, hi] = [0, N-1]) a shift rotates mod N,
+    while primitives keep their pointwise meaning on [0, N).
+    """
     if hi < lo:
         return _EMPTY_POS
     if isinstance(expr, Prim):
@@ -414,10 +418,10 @@ def _z_positions(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
         raise InvalidParam(f"unknown primitive {name!r}")
     if isinstance(expr, Combine):
         if expr.op == "compl":
-            inner = _z_positions(expr.args[0], lo, hi)
+            inner = _z_positions(expr.args[0], lo, hi, wrap)
             return np.setdiff1d(np.arange(lo, hi + 1, dtype=np.int64), inner, assume_unique=True)
-        left = _z_positions(expr.args[0], lo, hi)
-        right = _z_positions(expr.args[1], lo, hi)
+        left = _z_positions(expr.args[0], lo, hi, wrap)
+        right = _z_positions(expr.args[1], lo, hi, wrap)
         if expr.op == "union":
             return bitops.sorted_unique(np.concatenate((left, right)))
         if expr.op == "inter":
@@ -427,32 +431,12 @@ def _z_positions(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
     if isinstance(expr, Shift):
         if not isinstance(expr.by, int):
             raise KindMismatch("word shift does not apply to integer groups")
+        if wrap is not None:
+            return bitops.sorted_unique((_z_positions(expr.inner, lo, hi, wrap) + expr.by) % wrap)
         return _z_positions(expr.inner, lo - expr.by, hi - expr.by) + expr.by
     if isinstance(expr, NameRef):
         raise UnknownName(f"unresolved name {expr.name!r}")
     raise TypeError(f"not a SetExpr: {expr!r}")
-
-
-def _zmod_positions(expr: SetExpr, n: int) -> np.ndarray:
-    if isinstance(expr, Shift):
-        if not isinstance(expr.by, int):
-            raise KindMismatch("word shift does not apply to integer groups")
-        inner = _zmod_positions(expr.inner, n)
-        return bitops.sorted_unique((inner + expr.by) % n)
-    if isinstance(expr, Combine):
-        if expr.op == "compl":
-            inner = _zmod_positions(expr.args[0], n)
-            return np.setdiff1d(np.arange(n, dtype=np.int64), inner, assume_unique=True)
-        left = _zmod_positions(expr.args[0], n)
-        right = _zmod_positions(expr.args[1], n)
-        if expr.op == "union":
-            return bitops.sorted_unique(np.concatenate((left, right)))
-        if expr.op == "inter":
-            return np.intersect1d(left, right, assume_unique=True)
-        if expr.op == "diff":
-            return np.setdiff1d(left, right, assume_unique=True)
-    # primitives: pointwise on the representative range [0, n)
-    return _z_positions(expr, 0, n - 1)
 
 
 def _f2_start_bits(letter: str, depth: int) -> int:
@@ -472,32 +456,39 @@ def _f2_start_bits(letter: str, depth: int) -> int:
     return bits
 
 
-def _f2_bits(expr: SetExpr, group: FreeGroup2) -> tuple[int, int]:
-    """(bits, tally) of the pointwise evaluation on the word ball."""
+def _table_bits(expr: SetExpr, group: Group) -> tuple[int, int]:
+    """(bits, tally) of the pointwise evaluation on a table carrier.
+
+    On the word ball the primitive is ``f2start`` and ``shift`` takes a
+    word; a Cayley table has no symbolic primitives, and ``list`` names
+    element indices there.  Both have ``all``, ``empty`` and the set algebra.
+    """
+    if isinstance(expr, Combine):
+        parts = [_table_bits(a, group) for a in expr.args]
+        bits = [b for b, _ in parts]
+        tally = sum(t for _, t in parts)
+        if expr.op == "compl":
+            return ~bits[0] & group.full_mask, tally
+        if expr.op == "union":
+            return bits[0] | bits[1], tally
+        if expr.op == "inter":
+            return bits[0] & bits[1], tally
+        if expr.op == "diff":
+            return bits[0] & ~bits[1], tally
+    if isinstance(expr, Prim) and expr.name in ("all", "empty"):
+        return (group.full_mask if expr.name == "all" else 0), 0
+    if group.depth is None:
+        if isinstance(expr, Prim) and expr.name == "list":
+            return group.set_of(expr.args).bits, 0
+        raise KindMismatch(f"{print_set_expr(expr)} does not materialize on kind {group.kind!r}")
     if isinstance(expr, Prim):
         if expr.name == "f2start":
             return _f2_start_bits(expr.args[0], group.depth), 0
-        if expr.name == "all":
-            return group.full_mask, 0
-        if expr.name == "empty":
-            return 0, 0
         raise KindMismatch(f"{expr.name} does not materialize on the free group")
-    if isinstance(expr, Combine):
-        if expr.op == "compl":
-            bits, tally = _f2_bits(expr.args[0], group)
-            return ~bits & group.full_mask, tally
-        lb, lt = _f2_bits(expr.args[0], group)
-        rb, rt = _f2_bits(expr.args[1], group)
-        if expr.op == "union":
-            return lb | rb, lt + rt
-        if expr.op == "inter":
-            return lb & rb, lt + rt
-        if expr.op == "diff":
-            return lb & ~rb, lt + rt
     if isinstance(expr, Shift):
         if isinstance(expr.by, int):
             raise KindMismatch("integer shift does not apply to the free group")
-        bits, tally = _f2_bits(expr.inner, group)
+        bits, tally = _table_bits(expr.inner, group)
         out, dropped = group.translate_bits(expr.by, bits)
         return out, tally + dropped
     if isinstance(expr, NameRef):
@@ -507,35 +498,12 @@ def _f2_bits(expr: SetExpr, group: FreeGroup2) -> tuple[int, int]:
 
 def materialize(expr: SetExpr, group: Group) -> MaterializedSet:
     """Evaluate ``expr`` pointwise over the group's universe."""
-    if isinstance(group, ZWindowGroup):
-        pos = _z_positions(expr, group.window.lo, group.window.hi)
-        bits = bitops.bits_from_positions(pos - group.window.lo, group.size)
-        return MaterializedSet(group, bits)
-    if isinstance(group, ZModGroup):
-        pos = _zmod_positions(expr, group.modulus)
-        bits = bitops.bits_from_positions(pos, group.size)
-        return MaterializedSet(group, bits)
-    if isinstance(group, FreeGroup2):
-        bits, tally = _f2_bits(expr, group)
-        return MaterializedSet(group, bits, tally)
-    # cayley-table groups have no symbolic primitives; only all/empty/list make
-    # sense there, with list meaning element indices.
-    if isinstance(expr, Prim) and expr.name == "all":
-        return group.full_set()
-    if isinstance(expr, Prim) and expr.name == "empty":
-        return group.empty_set()
-    if isinstance(expr, Prim) and expr.name == "list":
-        return group.set_of(expr.args)
-    if isinstance(expr, Combine):
-        parts = [materialize(a, group) for a in expr.args]
-        if expr.op == "union":
-            return parts[0].union(parts[1])
-        if expr.op == "inter":
-            return parts[0].inter(parts[1])
-        if expr.op == "diff":
-            return parts[0].diff(parts[1])
-        return parts[0].compl()
-    raise KindMismatch(f"{print_set_expr(expr)} does not materialize on kind {group.kind!r}")
+    if group.span is not None:
+        lo, hi = group.span
+        pos = _z_positions(expr, lo, hi, group.modulus)
+        return MaterializedSet(group, bitops.bits_from_positions(pos - lo, group.size))
+    bits, tally = _table_bits(expr, group)
+    return MaterializedSet(group, bits, tally)
 
 
 # --------------------------------------------------------------------------

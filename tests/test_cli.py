@@ -99,6 +99,9 @@ def test_large_verdict_exit_codes(capsys):
         (("small", "--name", "parity", "--window", "0:10000", "--s", "-3"), "s >= 0"),
         # this used to fail on an unrelated window-margin message
         (("large", "--name", "parity", "--window", "0:10000", "--max-f", "0"), "max_f >= 1"),
+        # these used to pack the empty set with exit 0
+        (("pack", "--set", "empty", "--shifts", "0,0,1", "--window", "100"), "must be distinct"),
+        (("pack", "--set", "empty", "--translators", "a,b", "--window", "100"), "--translators"),
     ],
 )
 def test_invalid_bounds_are_usage_errors(capsys, argv, message):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealpack import bitops
-from idealpack.errors import BudgetExceeded, InvalidParam, RangeExceedsMargin
-from idealpack.groups import CayleyGroup, MaterializedSet, Window, ZModGroup, ZWindowGroup
+from idealpack.errors import BudgetExceeded, InvalidParam, RangeExceedsMargin, ShiftOutOfBudget
+from idealpack.groups import CayleyGroup, FreeGroup2, MaterializedSet, Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.packing import (
     ConflictOracle,
@@ -519,3 +519,43 @@ def test_candidate_translators_respects_margin():
         candidate_translators(g, shift_range=9)
     zm = ZModGroup(6)
     assert candidate_translators(zm) == [0, 1, 2, 3, 4, 5]
+
+
+# -- candidate checks, whichever path answers the query --------------------------
+
+_S3 = CayleyGroup(*symmetric_table(3))
+_NARROW = ZWindowGroup(Window(0, 100, margin=2))
+_EVENS = _NARROW.set_of(range(0, 101, 2))
+# (the path a query takes, None for the member shortcut; A, ideal,
+# candidates; the error and its message)
+_BAD_CANDIDATES = {
+    "shortcut": (None, ZWindowGroup(Window(0, 100, margin=1)).empty_set(), TrivialIdeal(), [0, 0, 1],
+                 InvalidParam, "must be distinct"),
+    "shortcut-z-mod": (None, ZModGroup(12).empty_set(), TrivialIdeal(), list(range(21)),
+                       InvalidParam, "must be distinct"),
+    "shortcut-cayley": (None, _S3.empty_set(), TrivialIdeal(), [0, 1, 99],
+                        InvalidParam, "element index 99 out of range"),
+    "z-window-pairs": ("z-window-pairs", _EVENS, TrivialIdeal(), list(range(10)),
+                       ShiftOutOfBudget, "shift 3 exceeds declared margin 2"),
+    "general": ("general", _EVENS, FiniteSetsIdeal(), list(range(10)),
+                ShiftOutOfBudget, "shift 3 exceeds declared margin 2"),
+    "element-pairs": ("element-pairs", ZModGroup(12).set_of(range(0, 12, 2)), TrivialIdeal(), list(range(21)),
+                      InvalidParam, "must be distinct"),
+    "element-pairs-cayley": ("element-pairs", _S3.set_of([1]), TrivialIdeal(), [0, 1, 99],
+                             InvalidParam, "element index 99 out of range"),
+    "general-free": ("general", FreeGroup2(3).set_of(["a", "ab"]), TrivialIdeal(), ["a", "b", "a"],
+                     InvalidParam, "must be distinct"),
+}
+
+
+@pytest.mark.parametrize("pack", [pack_exact, pack_greedy])
+@pytest.mark.parametrize("case", sorted(_BAD_CANDIDATES))
+def test_candidates_checked_on_every_path(case, pack):
+    mode, A, ideal, cands, error, message = _BAD_CANDIDATES[case]
+    # the path the query takes, as its first two candidates (both valid) show
+    if mode is None:
+        assert ideal.member(A)
+    else:
+        assert ConflictOracle(A, ideal, cands[:2], 2)._mode == mode
+    with pytest.raises(error, match=message):
+        pack(A, ideal, cands, 2)

@@ -119,6 +119,19 @@ def test_materialize_on_zmod_wraps():
     assert A.elements() == [1, 2]
 
 
+@given(grounded, grounded, st.integers(-30, 30), st.sampled_from([1, 2, 7, 12, 31]))
+def test_materialize_on_zmod_is_set_algebra(left, right, b, n):
+    # on Z_N a symbolic shift is exactly the rotation of the materialized
+    # set, and the combinators are exactly the set operations
+    g = ZModGroup(n)
+    A, B = materialize(left, g), materialize(right, g)
+    assert materialize(Shift(left, b), g) == A.translate(b)
+    assert materialize(Combine("union", (left, right)), g) == A.union(B)
+    assert materialize(Combine("inter", (left, right)), g) == A.inter(B)
+    assert materialize(Combine("diff", (left, right)), g) == A.diff(B)
+    assert materialize(Combine("compl", (left,)), g) == A.compl()
+
+
 def test_f2_primitives():
     g = FreeGroup2(3)
     a_side = materialize(parse_set_expr("union(f2start(a), f2start(A))"), g)
