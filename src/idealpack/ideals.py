@@ -132,7 +132,7 @@ class FiniteSetsIdeal(Ideal):
                 f"cutoff {self.cutoff} is not below the universe size {A.group.size}; "
                 "the ideal would not be proper"
             )
-        if A.group.modulus is not None:
+        if A.group.translation_is_exact:  # a finite group: every set is finite
             raise InvalidParam("finite-sets is only proper on infinite group kinds")
         if expr is not None:
             return symbolic_finiteness(expr) == "finite"

@@ -51,6 +51,11 @@ CASES = {
     ],
     "small-f2": ["small", "--set", "f2start(a)", "--depth", "6", "--m", "2", "--s", "1"],
     "large-f2": ["large", "--set", "compl(f2start(a))", "--depth", "6"],
+    # usage errors (exit 2)
+    "pack-cayley-finite-sets": [
+        "pack", "--set", "list{0,1}", "--n", "2", "--shifts", "0..5", "--cayley", _S3,
+        "--ideal", "finite-sets", "--cutoff", "1",
+    ],
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealpack.errors import InvalidParam
-from idealpack.groups import MaterializedSet, Window, ZModGroup, ZWindowGroup
+from idealpack.groups import CayleyGroup, MaterializedSet, Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import (
     DensityZeroIdeal,
     FiniteSetsIdeal,
@@ -23,6 +23,7 @@ from idealpack.ideals import (
     max_window_count,
 )
 from idealpack.setexpr import parse_set_expr, materialize
+from test_groups import symmetric_table
 
 ZW = ZWindowGroup(Window(0, 1999, margin=8))
 ZM = ZModGroup(128)
@@ -87,6 +88,8 @@ def test_finite_sets_properness_guards():
         FiniteSetsIdeal(cutoff=0)
     with pytest.raises(InvalidParam):
         FiniteSetsIdeal(cutoff=16).member(ZModGroup(8).set_of([0]))  # finite group
+    with pytest.raises(InvalidParam):
+        FiniteSetsIdeal(cutoff=1).member(CayleyGroup(*symmetric_table(3)).set_of([0]))  # finite group
     small = ZWindowGroup(Window(0, 9, 0))
     with pytest.raises(InvalidParam):
         FiniteSetsIdeal(cutoff=16).member(small.set_of([0]))  # cutoff >= universe
