@@ -21,6 +21,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
+from . import words
 from .acceptance import CriterionResult, run_all
 from .completion import iterate_completion
 from .config import RunConfig, load_config
@@ -230,7 +231,7 @@ def _cmd_pack(args, cfg) -> tuple[dict, int]:
     translators_spec = _opt(args, cfg, "pack", "translators")
     shifts_spec = _opt(args, cfg, "pack", "shifts", "0..32")
     if translators_spec is not None:
-        candidates: list = parse_translators(str(translators_spec))
+        candidates: list = [words.parse_word(t) for t in parse_translators(str(translators_spec))]
         needed = 0
     else:
         candidates = _parse_int_list(str(shifts_spec))

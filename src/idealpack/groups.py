@@ -508,7 +508,10 @@ class FreeGroup2(_GroupBase):
         return list(words.enumerate_ball(word_len))
 
     def check_translators(self, cands: Sequence[str]) -> None:
-        """Distinct words, as given."""
+        """Distinct reduced words over ``aAbB``; ``""`` is the identity."""
+        for g in cands:
+            if not (isinstance(g, str) and set(g) <= set(words.ALPHABET) and words.is_reduced(g)):
+                raise InvalidParam(f"translator {g!r} is not a reduced word over {words.ALPHABET!r}")
         _require_distinct(cands)
 
     def _maps_of(self, g: str) -> list[np.ndarray]:

@@ -79,7 +79,8 @@ class PackingReport:
             "n": self.n,
             "value": self.value,
             "flag": self.flag,
-            "family": [f if isinstance(f, (int, str)) else str(f) for f in self.family],
+            # the free group's identity, the empty word, prints as "e"
+            "family": [f if isinstance(f, int) else str(f) or "e" for f in self.family],
             "floor": self.floor,
             "candidates": self.candidate_count,
             "ideal": self.ideal,

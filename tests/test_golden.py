@@ -51,6 +51,9 @@ CASES = {
     ],
     "small-f2": ["small", "--set", "f2start(a)", "--depth", "6", "--m", "2", "--s", "1"],
     "large-f2": ["large", "--set", "compl(f2start(a))", "--depth", "6"],
+    "pack-f2-identity": [
+        "pack", "--set", "f2start(a)", "--depth", "5", "--translators", "e,a,b,ba", "--n", "2", "--exact",
+    ],
     # usage errors (exit 2)
     "pack-cayley-finite-sets": [
         "pack", "--set", "list{0,1}", "--n", "2", "--shifts", "0..5", "--cayley", _S3,

@@ -545,6 +545,13 @@ _BAD_CANDIDATES = {
                              InvalidParam, "element index 99 out of range"),
     "general-free": ("general", FreeGroup2(3).set_of(["a", "ab"]), TrivialIdeal(), ["a", "b", "a"],
                      InvalidParam, "must be distinct"),
+    # the identity is the empty word; "e" is what the CLI parses it from
+    "general-free-identity": ("general", FreeGroup2(4).set_of(["a"]), TrivialIdeal(), ["a", "b", "e"],
+                              InvalidParam, "'e' is not a reduced word"),
+    "general-free-unreduced": ("general", FreeGroup2(4).set_of(["a"]), TrivialIdeal(), ["a", "b", "aA"],
+                               InvalidParam, "'aA' is not a reduced word"),
+    "shortcut-free": (None, FreeGroup2(4).empty_set(), TrivialIdeal(), ["", "b", "e"],
+                      InvalidParam, "'e' is not a reduced word"),
 }
 
 
