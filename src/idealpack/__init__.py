@@ -65,13 +65,7 @@ from .largesmall import (
     is_ideal_small,
     is_large,
 )
-from .packing import (
-    PackingReport,
-    candidate_translators,
-    pack_exact,
-    pack_greedy,
-    pack_profile,
-)
+from .packing import PackingReport, pack_exact, pack_greedy
 from .setexpr import (
     Catalog,
     SetExpr,
@@ -126,7 +120,6 @@ __all__ = [
     "avoid_translate",
     "ball_size",
     "bits_from_positions",
-    "candidate_translators",
     "counting_bound_check",
     "default_catalog",
     "f2_partition",
@@ -146,7 +139,6 @@ __all__ = [
     "mul_words",
     "pack_exact",
     "pack_greedy",
-    "pack_profile",
     "parse_config",
     "parse_set_expr",
     "positions_from_bits",

@@ -9,14 +9,16 @@ artifacts.  ``pack_greedy`` gives a certified lower bound; ``pack_exact``
 runs branch-and-bound seeded with the greedy family.
 
 For n=2 the conflict graph is built in bulk (``ConflictOracle.pair_rows``).
-Where translation is exact (Z_N and Cayley tables), under the trivial ideal
-or ``finite-sets``, each group element d = g^-1 h is decided once, as whether
-|A ∩ dA| is above the ideal's cutoff; on Z windows with the trivial ideal,
-each shift difference is.  Every row is filled from those decisions with
-numpy, already permuted into search order, as a Python-int bitset.  Other
-ideals, and the free group, decide pair by pair on translate bitsets.  Both searches run on an
-explicit stack, so their depth is bounded by the candidate count and not by
-the interpreter's recursion limit, which is left alone.
+Under the trivial ideal, on Z_N, Cayley tables and Z windows with
+non-negative shifts, a pair conflict depends on one difference d = g^-1 h
+alone, and each difference is decided once, as the least witness u in A with
+d·u in A (mode ``difference-pairs``).  Every row is filled from those
+witnesses with numpy, already permuted into search order, as a Python-int
+bitset.  The free group, windows with a negative shift, n >= 3 and the other
+ideals decide combination by combination on translate bitsets.  Both
+searches run on an explicit stack, so their depth is bounded by the
+candidate count and not by the interpreter's recursion limit, which is left
+alone.
 
 Flags: "exact" (search completed), "lower-bound" (node budget hit first),
 "saturated" (the family exhausts every candidate — the finite stand-in for
@@ -44,17 +46,15 @@ import numpy as np
 
 from . import bitops
 from .errors import BudgetExceeded, InvalidParam
-from .groups import Group, MaterializedSet
+from .groups import MaterializedSet
 from .ideals import Ideal, TrivialIdeal
 from .setexpr import SetExpr
 
 __all__ = [
     "PackingReport",
     "ConflictOracle",
-    "candidate_translators",
     "pack_greedy",
     "pack_exact",
-    "pack_profile",
 ]
 
 _CACHE_BYTE_LIMIT = 256 * 1024 * 1024
@@ -96,34 +96,23 @@ class PackingReport:
         return out
 
 
-def candidate_translators(
-    group: Group,
-    shift_range: Optional[int] = None,
-    word_len: Optional[int] = None,
-) -> list:
-    """Deterministic candidate list: [0..R] on Z, everything on finite kinds,
-    the shortlex ball on the free group (``Group.candidates``)."""
-    return group.candidates(shift_range, word_len)
-
-
 class ConflictOracle:
     """Decides whether an n-subset of candidates (given by indices) conflicts.
 
-    For n=2 under a cardinality ideal (the trivial ideal, and ``finite-sets``
-    on bare bitsets), an edge depends on the two translators g, h only
-    through one group element, and each is decided once:
+    Mode ``difference-pairs``: for n=2 under the trivial ideal, on Z_N and
+    Cayley tables (where translation is exact) and on a Z window with
+    non-negative shifts, a pair g, h meets through one difference d alone,
+    since gA ∩ hA = g(A ∩ g⁻¹hA).  The pair conflicts exactly when the least
+    witness u ∈ A with d·u ∈ A (in index order) lies in the pair's exact
+    core: anywhere where translation is exact (d = g⁻¹h), and at most
+    size-1-max(b, c) on a window (d = |c-b|).  One table holds the least
+    witness per difference, filled by gathers through A's positions.
 
-    * ``element-pairs``, where translation is exact (Z_N, Cayley tables):
-      gA ∩ hA = g(A ∩ g⁻¹hA), so the pair conflicts exactly when
-      |A ∩ dA| at d = g⁻¹h is above the cutoff; the table holds that
-      decision per element d, counted by gathers through A's positions.
-    * ``z-window-pairs``, trivial ideal, shifts b <= c: the translates meet
-      on the exact core iff A meets A-d at a position u <= hi-c, so the
-      least such u is kept per difference d = c-b.
-
-    Everything else intersects cached translate bitsets and asks the ideal.
-    The candidates are taken as given: ``pack_exact`` and ``pack_greedy``
-    check them (``Group.check_translators``) before building an oracle.
+    Everything else (the free group, a window with a negative shift, n >= 3,
+    every other ideal) intersects cached translate bitsets and asks the
+    ideal.  The candidates are taken as given: ``pack_exact`` and
+    ``pack_greedy`` check them (``Group.check_translators``) before building
+    an oracle.
     """
 
     def __init__(self, A: MaterializedSet, ideal: Ideal, candidates: Sequence, n: int):
@@ -133,95 +122,84 @@ class ConflictOracle:
         self.cands = list(candidates)
         self.n = n
         self.edges_evaluated = 0
-        self._memo: dict[tuple, bool] = {}
         self._mode = "general"
-        cutoff = ideal.cardinality_cutoff() if n == 2 else None
-        if cutoff is not None and self.group.translation_is_exact:
-            self._mode = "element-pairs"
-            self._cutoff = cutoff
-            # the usage errors ``member`` raises on this carrier and ideal
+        size = self.group.size
+        if ideal.cardinality_cutoff() is not None:
+            # the usage errors ``member`` raises on this carrier and ideal,
+            # before the first edge
             ideal.member(self.group.empty_set())
-            self._index = np.array([self.group.index(c) for c in self.cands], dtype=np.int64)
-            self._positions = bitops.positions_from_bits(A.bits, self.group.size)
-            self._in_A = np.zeros(self.group.size, dtype=bool)
-            self._in_A[self._positions] = True
-            # 1 where |A ∩ dA| is above the cutoff at element index d, else 0;
-            # -1 until decided
-            self._diff = np.full(self.group.size, -1, dtype=np.int8)
-            # the conflict rows ``is_edge`` has read, by candidate index, as
-            # packed bits (bit j of byte j >> 3): m bits a row, one byte read
-            # a lookup
-            self._row_cache: dict[int, bytes] = {}
-        elif cutoff == 0 and self.group.margin is not None and all(
-            isinstance(c, int) and c >= 0 for c in self.cands
-        ):
-            self._mode = "z-window-pairs"
-            self._shifts = np.array(self.cands, dtype=np.int64)
-            self._positions = bitops.positions_from_bits(A.bits, self.group.size)
-            # least witness per difference; group.size when there is none.
-            # A difference past the window has no witness, and a pair
-            # that far apart never meets on the core, so lookups clip to it.
-            top = min(max(self.cands, default=0), self.group.size - 1)
-            self._diff = np.full(top + 1, -1, dtype=np.int64)
+        if n == 2 and ideal.cardinality_cutoff() == 0:
+            if self.group.translation_is_exact:
+                self._mode = "difference-pairs"
+                self._index = np.array([self.group.index(c) for c in self.cands], dtype=np.int64)
+                differences = size
+            elif self.group.margin is not None and all(isinstance(c, int) and c >= 0 for c in self.cands):
+                self._mode = "difference-pairs"
+                self._index = np.array(self.cands, dtype=np.int64)
+                # a pair further apart than the window never meets on its
+                # core, so differences clip to the window
+                differences = min(max(self.cands, default=0), size - 1) + 1
         # translate cache for the general path, if it fits
         self._tcache: Optional[dict] = None
         if self._mode == "general":
-            est = (self.group.size // 8 + 1) * len(self.cands)
-            if est <= _CACHE_BYTE_LIMIT:
+            if (size // 8 + 1) * len(self.cands) <= _CACHE_BYTE_LIMIT:
                 self._tcache = {}
+            return
+        self._positions = bitops.positions_from_bits(A.bits, size)
+        # membership, with one slot past the universe that stays False: the
+        # gathers send a translate that leaves the universe there
+        self._in_A = np.zeros(size + 1, dtype=bool)
+        self._in_A[self._positions] = True
+        # least witness per difference; size where there is none, -1 until
+        # decided (an empty A has none anywhere)
+        self._witness = np.full(differences, -1 if self._positions.size else size, dtype=np.int32)
+        # the conflict rows ``is_edge`` has read, by candidate index, as
+        # packed bits (bit j of byte j >> 3): m bits a row, one byte read a
+        # lookup
+        self._row_cache: dict[int, bytes] = {}
 
     # -- helpers -----------------------------------------------------------
-    def _decide_diff(self, d: int) -> int:
-        """The least witness for shift difference d (``z-window-pairs``)."""
+    def _decide(self, ds: np.ndarray) -> None:
+        """Fill the witness table at the distinct undecided ``ds`` by gathers
+        through A's positions, the whole table at once when it is small."""
         p = self._positions
-        inter = np.intersect1d(p, p - d, assume_unique=True)
-        return int(inter[0]) if inter.size else self.group.size
-
-    def _decide_diffs(self, ds: np.ndarray) -> None:
-        """Fill the per-difference table at the distinct undecided ``ds``:
-        one at a time on a Z window; by gathers through A's positions where
-        translation is exact, the whole table in one gather when it is small."""
-        if self._mode == "z-window-pairs":
-            for d in ds.tolist():
-                self._diff[d] = self._decide_diff(d)
-            return
-        p = self._positions
-        if self.group.size * p.size <= bitops.CHUNK_ITEMS:
-            ds = np.arange(self.group.size)
-        step = max(1, bitops.CHUNK_ITEMS // max(1, p.size))
+        size = self.group.size
+        if self._witness.size * p.size <= bitops.CHUNK_ITEMS:
+            ds = np.arange(self._witness.size)
+        step = max(1, bitops.CHUNK_ITEMS // p.size)
         for lo in range(0, ds.size, step):
             part = ds[lo : lo + step]
-            counts = self._in_A[self.group.translate_index(part, p)].sum(axis=1)
-            self._diff[part] = counts > self._cutoff
+            if self.group.translation_is_exact:
+                targets = self.group.translate_index(part, p)
+            else:
+                targets = np.minimum(p + part[:, None], size)
+            hits = self._in_A[targets]
+            first = hits.argmax(axis=1)
+            self._witness[part] = np.where(hits[np.arange(part.size), first], p[first], size)
 
-    def _diff_value(self, d: int) -> int:
-        v = int(self._diff[d])
-        if v < 0:
-            v = self._diff[d] = self._decide_diff(d)
-        return v
-
-    def _diff_values(self, ds: np.ndarray) -> np.ndarray:
-        vals = self._diff[ds]
+    def _witnesses(self, ds: np.ndarray) -> np.ndarray:
+        vals = self._witness[ds]
         unknown = ds[vals < 0]
         if unknown.size:
-            self._decide_diffs(bitops.sorted_unique(unknown))
-            vals = self._diff[ds]
+            self._decide(bitops.sorted_unique(unknown))
+            vals = self._witness[ds]
         return vals
 
     def _pair_rows_block(self, lo: int, hi: int) -> np.ndarray:
         """Bool block: entry [i - lo, j] says whether candidates i and j
         conflict, as ``is_edge`` decides it, for lo <= i < hi."""
         rows = np.arange(lo, hi)
-        if self._mode == "z-window-pairs":
-            cands = self._shifts
-            c = cands[lo:hi, None]
-            lim = (self.group.size - 1) - np.maximum(cands, c)
-            ds = np.minimum(np.abs(cands - c), self._diff.size - 1)
-            block = self._diff_values(ds) <= lim
-        else:
-            # |A ∩ dA| = |A ∩ d⁻¹A|, so either order of a pair reads the same
+        if self.group.translation_is_exact:
+            # the witness for d⁻¹ exists exactly when the one for d does, so
+            # either order of a pair reads the same
             ds = self.group.differences(self._index[lo:hi], self._index)
-            block = self._diff_values(ds) > 0
+            top = self.group.size - 1
+        else:
+            cands = self._index
+            c = cands[lo:hi, None]
+            ds = np.minimum(np.abs(cands - c), self._witness.size - 1)
+            top = (self.group.size - 1) - np.maximum(cands, c)
+        block = self._witnesses(ds) <= top
         block[rows - lo, rows] = False
         return block
 
@@ -241,12 +219,8 @@ class ConflictOracle:
     # -- the oracle --------------------------------------------------------
     def is_edge(self, combo: tuple[int, ...]) -> bool:
         """combo: strictly increasing candidate indices, len == n."""
-        if self._mode == "z-window-pairs":
-            self.edges_evaluated += 1
-            b, c = sorted((self.cands[combo[0]], self.cands[combo[1]]))
-            return self._diff_value(min(c - b, self._diff.size - 1)) <= self.group.size - 1 - c
-        if self._mode == "element-pairs":
-            self.edges_evaluated += 1
+        self.edges_evaluated += 1
+        if self._mode == "difference-pairs":
             i, j = combo
             row = self._row_cache.get(i)
             if row is None:
@@ -257,10 +231,6 @@ class ConflictOracle:
                     self._row_cache[k] = packed.tobytes()
                 row = self._row_cache[i]
             return bool(row[j >> 3] >> (j & 7) & 1)
-        hit = self._memo.get(combo)
-        if hit is not None:
-            return hit
-        self.edges_evaluated += 1
         inter = self._translate(combo[0])
         for i in combo[1:]:
             inter &= self._translate(i)
@@ -268,10 +238,7 @@ class ConflictOracle:
                 break
         shifts = [self.cands[i] for i in combo]
         core = self.group.exact_core_mask(shifts)
-        piece = MaterializedSet(self.group, inter & core)
-        edge = not self.ideal.member(piece)
-        self._memo[combo] = edge
-        return edge
+        return not self.ideal.member(MaterializedSet(self.group, inter & core))
 
     def pair_rows(self) -> tuple[list[int], list[int]]:
         """The n=2 conflict graph as bitset rows in search order.
@@ -279,7 +246,7 @@ class ConflictOracle:
         ``order`` lists the candidate indices by conflict degree descending,
         index ascending; ``rows[p]`` has bit q set when candidates
         ``order[p]`` and ``order[q]`` conflict.  Every pair counts as one
-        evaluated edge.  The per-difference modes build the rows with numpy,
+        evaluated edge.  The per-difference mode builds the rows with numpy,
         a block of rows at a time; the general mode asks ``is_edge`` pair by
         pair.
         """
@@ -359,7 +326,6 @@ def pack_greedy(
     candidates: Sequence,
     n: int,
     expr: Optional[SetExpr] = None,
-    oracle: Optional[ConflictOracle] = None,
 ) -> PackingReport:
     """Certified lower bound: scan candidates in order, keep the compatible ones."""
     t0 = time.perf_counter()
@@ -368,7 +334,7 @@ def pack_greedy(
     short = _member_shortcut(A, ideal, candidates, n, expr, t0)
     if short is not None:
         return short
-    oracle = oracle or ConflictOracle(A, ideal, candidates, n)
+    oracle = ConflictOracle(A, ideal, candidates, n)
     t1 = time.perf_counter()
     family = _greedy_indices(oracle, len(candidates), n)
     timing = {"rows_ms": 0.0}  # the scan decides edges as it meets them
@@ -578,21 +544,3 @@ def pack_exact(
         },
         timing=timing,
     )
-
-
-def pack_profile(
-    A: MaterializedSet,
-    ideal: Optional[Ideal],
-    n_values: Sequence[int],
-    candidates: Sequence,
-    exact: bool = True,
-    expr: Optional[SetExpr] = None,
-) -> list[PackingReport]:
-    """One report per n; exact values are non-decreasing in n."""
-    out = []
-    for n in n_values:
-        if exact:
-            out.append(pack_exact(A, ideal, candidates, n, expr=expr))
-        else:
-            out.append(pack_greedy(A, ideal, candidates, n, expr=expr))
-    return out

@@ -16,10 +16,9 @@ from idealpack.packing import (
     ConflictOracle,
     _exact_hyper,
     _exact_pairs,
-    candidate_translators,
+    _greedy_indices,
     pack_exact,
     pack_greedy,
-    pack_profile,
 )
 from idealpack.reports import strip_timing
 from test_groups import dihedral_table, symmetric_table
@@ -49,7 +48,7 @@ def test_zwindow_pair_oracle_matches_literal(ps, span):
     A = g.set_of(ps)
     candidates = list(range(min(span, 8) + 1))
     fast = ConflictOracle(A, TrivialIdeal(), candidates, 2)
-    assert fast._mode == "z-window-pairs"
+    assert fast._mode == "difference-pairs"
     for i, j in itertools.combinations(range(len(candidates)), 2):
         bi, _ = g.translate_bits(candidates[i], A.bits)
         bj, _ = g.translate_bits(candidates[j], A.bits)
@@ -66,7 +65,7 @@ def test_zmod_pair_oracle_matches_literal(ps):
     A = g.set_of(ps)
     candidates = list(range(8))
     fast = ConflictOracle(A, TrivialIdeal(), candidates, 2)
-    assert fast._mode == "element-pairs"
+    assert fast._mode == "difference-pairs"
     for i, j in itertools.combinations(range(8), 2):
         bi, _ = g.translate_bits(i, A.bits)
         bj, _ = g.translate_bits(j, A.bits)
@@ -107,7 +106,7 @@ def test_element_pair_table_matches_literal_intersection(data):
     m = len(cands)
     edge = [[i != j and _literal_pair_edge(A, ideal, cands[i], cands[j]) for j in range(m)] for i in range(m)]
     bulk = ConflictOracle(A, ideal, cands, 2)
-    assert bulk._mode == "element-pairs"
+    assert bulk._mode == "difference-pairs"
     order, rows = bulk.pair_rows()
     for p, i in enumerate(order):
         assert rows[p] == sum(1 << q for q, j in enumerate(order) if edge[i][j])
@@ -133,18 +132,17 @@ def test_element_pair_table_on_a_large_set():
 
 def test_greedy_pair_rows_cached_as_packed_bits():
     # A = {0, 1} on Z_1024 keeps every even shift; the oracle caches the
-    # conflict rows the scan reads, each m packed bits, beside one byte per
-    # group element
+    # conflict rows the greedy scan reads, each m packed bits, beside one
+    # int32 witness per group element
     g = ZModGroup(1024)
     A = g.set_of([0, 1])
     cands = list(range(1024))
     oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
-    report = pack_greedy(A, TrivialIdeal(), cands, 2, oracle=oracle)
-    assert report.family == list(range(0, 1024, 2))
+    assert _greedy_indices(oracle, len(cands), 2) == list(range(0, 1024, 2))
     cache = oracle._row_cache
     assert 0 < len(cache) <= len(cands)
     assert all(isinstance(row, bytes) and len(row) == 1024 // 8 for row in cache.values())
-    assert oracle._diff.nbytes == g.size
+    assert oracle._witness.nbytes == 4 * g.size
 
 
 def test_packing_report_timing_is_stripped():
@@ -196,8 +194,6 @@ _PAIR_CASES = {
     "cayley": _cayley_case,
     "general": _general_window_case,
 }
-# the oracle mode each case takes, where it is not the case's name
-_PAIR_MODES = {"cayley": "element-pairs"}
 
 
 @pytest.mark.parametrize("kind", sorted(_PAIR_CASES))
@@ -207,7 +203,8 @@ def test_pair_rows_match_is_edge(kind, data):
     A, ideal, cands = _PAIR_CASES[kind](data)
     m = len(cands)
     bulk = ConflictOracle(A, ideal, cands, 2)
-    assert bulk._mode == _PAIR_MODES.get(kind, kind)
+    # Z windows, Z_N and Cayley tables share the per-difference mode
+    assert bulk._mode == ("general" if kind == "general" else "difference-pairs")
     order, rows = bulk.pair_rows()
     ref = ConflictOracle(A, ideal, cands, 2)
     adj = [[False] * m for _ in range(m)]
@@ -434,8 +431,7 @@ def test_value_monotone_in_n(ps):
     g = ZWindowGroup(Window(0, 59, margin=8))
     A = g.set_of(ps)
     candidates = list(range(6))
-    reports = pack_profile(A, TrivialIdeal(), [2, 3, 4], candidates, exact=True)
-    values = [r.value for r in reports]
+    values = [pack_exact(A, TrivialIdeal(), candidates, n).value for n in (2, 3, 4)]
     assert values == sorted(values)
 
 
@@ -514,11 +510,11 @@ def test_bad_arity_and_duplicates():
 
 def test_candidate_translators_respects_margin():
     g = ZWindowGroup(Window(0, 99, margin=4))
-    assert candidate_translators(g, shift_range=3) == [0, 1, 2, 3]
+    assert g.candidates(shift_range=3) == [0, 1, 2, 3]
     with pytest.raises(RangeExceedsMargin):
-        candidate_translators(g, shift_range=9)
+        g.candidates(shift_range=9)
     zm = ZModGroup(6)
-    assert candidate_translators(zm) == [0, 1, 2, 3, 4, 5]
+    assert zm.candidates() == [0, 1, 2, 3, 4, 5]
 
 
 # -- candidate checks, whichever path answers the query --------------------------
@@ -535,13 +531,13 @@ _BAD_CANDIDATES = {
                        InvalidParam, "must be distinct"),
     "shortcut-cayley": (None, _S3.empty_set(), TrivialIdeal(), [0, 1, 99],
                         InvalidParam, "element index 99 out of range"),
-    "z-window-pairs": ("z-window-pairs", _EVENS, TrivialIdeal(), list(range(10)),
+    "z-window-pairs": ("difference-pairs", _EVENS, TrivialIdeal(), list(range(10)),
                        ShiftOutOfBudget, "shift 3 exceeds declared margin 2"),
     "general": ("general", _EVENS, FiniteSetsIdeal(), list(range(10)),
                 ShiftOutOfBudget, "shift 3 exceeds declared margin 2"),
-    "element-pairs": ("element-pairs", ZModGroup(12).set_of(range(0, 12, 2)), TrivialIdeal(), list(range(21)),
+    "element-pairs": ("difference-pairs", ZModGroup(12).set_of(range(0, 12, 2)), TrivialIdeal(), list(range(21)),
                       InvalidParam, "must be distinct"),
-    "element-pairs-cayley": ("element-pairs", _S3.set_of([1]), TrivialIdeal(), [0, 1, 99],
+    "element-pairs-cayley": ("difference-pairs", _S3.set_of([1]), TrivialIdeal(), [0, 1, 99],
                              InvalidParam, "element index 99 out of range"),
     "general-free": ("general", FreeGroup2(3).set_of(["a", "ab"]), TrivialIdeal(), ["a", "b", "a"],
                      InvalidParam, "must be distinct"),
