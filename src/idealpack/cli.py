@@ -36,7 +36,6 @@ from .freegroup import f2_partition, family_disjoint, parse_translators
 from .groups import (
     FreeGroup2,
     Group,
-    MaterializedSet,
     Window,
     ZModGroup,
     ZWindowGroup,
@@ -275,8 +274,7 @@ def _cmd_small(args, cfg) -> tuple[dict, int]:
     inner_sr = int(_opt(args, cfg, "small", "inner-shift-range", 256))
     cap = int(_opt(args, cfg, "small", "cap", 1_000_000))
     bounds = SmallBounds(m=m, s=s, inner=LargeBounds(inner_max_f, inner_sr), cap=cap)
-    needed = max(s, min(inner_sr, inner_max_f - 1))
-    group = _build_group(args, cfg, needed)
+    group = _build_group(args, cfg, bounds.reach)
     A, expr, label = _the_set(args, cfg, catalog, group)
     ideal = _build_ideal(args, cfg, catalog)
     evidence = is_ideal_small(A, ideal, bounds)
@@ -291,8 +289,7 @@ def _cmd_large(args, cfg) -> tuple[dict, int]:
     max_f = int(_opt(args, cfg, "large", "max-f", 64))
     shift_range = int(_opt(args, cfg, "large", "shift-range", 256))
     bounds = LargeBounds(max_f=max_f, shift_range=shift_range)
-    needed = min(shift_range, max_f - 1)
-    group = _build_group(args, cfg, needed)
+    group = _build_group(args, cfg, bounds.depth)
     A, expr, label = _the_set(args, cfg, catalog, group)
     ideal = _build_ideal(args, cfg, catalog)
     params = {"set": label, "group": group.descriptor()}
@@ -398,7 +395,7 @@ def _cmd_complete(args, cfg) -> tuple[dict, int]:
         raise InvalidParam(f"unknown completion kind {kind_text!r}")
     candidates = _parse_int_list(shifts_spec)
     if kind == "s":
-        needed = max(bounds.s, min(bounds.inner.shift_range, bounds.inner.max_f - 1))
+        needed = bounds.reach
     else:
         needed = max((abs(c) for c in candidates), default=0)
     group = _build_group(args, cfg, needed)

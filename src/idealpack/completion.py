@@ -36,7 +36,6 @@ __all__ = [
     "AdmissionRecord",
     "CompletionTrace",
     "CompletionContext",
-    "pack_completion_stage",
     "iterate_completion",
 ]
 
@@ -187,21 +186,6 @@ class CompletionContext:
                 )
         self._union_close(out, stage, records)
         return out, records
-
-
-def pack_completion_stage(
-    admitted: Sequence[str],
-    n: int,
-    catalog: Catalog,
-    group: Group,
-    candidates: Sequence,
-    threshold: int,
-    base: Optional[Ideal] = None,
-) -> list[str]:
-    """One pack_n stage: next catalog subset (superset of the input)."""
-    ctx = CompletionContext(catalog, group, base)
-    out, _ = ctx.pack_stage(set(admitted), 1, [n], candidates, threshold)
-    return sorted(out)
 
 
 def iterate_completion(

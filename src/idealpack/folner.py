@@ -25,7 +25,6 @@ tolerance of 2*maxshift/window on Z windows.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,7 +49,6 @@ __all__ = [
     "folner_set",
     "avoid_translate",
     "measure_build",
-    "invariance_defect",
     "upper_density",
     "counting_bound_check",
 ]
@@ -125,18 +123,18 @@ def avoid_translate(
         if A.is_empty():
             return 0
         raise AvoidanceNotFound(group.size)
-    w = group.window
+    lo, hi = group.span
     L = cert.length
     if L > group.size:
         raise AvoidanceNotFound(0)
     if bound is None:
-        bound = max(abs(w.lo), abs(w.hi))
+        bound = max(abs(lo), abs(hi))
     reach = max(bound, 0)
-    y_lo, y_hi = max(w.lo, -reach), min(w.hi - L + 1, reach)
+    y_lo, y_hi = max(lo, -reach), min(hi - L + 1, reach)
     # a translate [y, y+L) misses A exactly when y lies in [p+1, q-L] for
     # consecutive elements p < q; y_lo - 1 and y_hi + L stand in for the
     # elements beyond the candidates' reach
-    pos = bitops.positions_from_bits(A.bits, group.size) + w.lo
+    pos = bitops.positions_from_bits(A.bits, group.size) + lo
     near = np.searchsorted(pos, (y_lo, y_hi + L))
     edges = np.concatenate(([y_lo - 1], pos[near[0] : near[1]], [y_hi + L]))
     gaps = np.flatnonzero(np.diff(edges) > L)
@@ -161,7 +159,7 @@ class FolnerMeasure:
         if self.cert.whole_group:
             self._region = group.full_mask
         else:
-            lo_idx = self.y - group.window.lo
+            lo_idx = self.y - group.span[0]
             self._region = bitops.mask(self.cert.length) << lo_idx
 
     @property
@@ -179,16 +177,16 @@ class FolnerMeasure:
         if self.cert.whole_group:
             shifted = group.translate_bits(x, B.bits)[0]
             return Fraction((shifted & self._region).bit_count(), self.cert.length)
-        w = group.window
-        if abs(x) > w.margin:
-            raise ShiftOutOfBudget(f"shift {x} exceeds window margin {w.margin}")
-        lo = self.y - x
-        if lo < w.lo or lo + self.cert.length - 1 > w.hi:
+        if abs(x) > group.margin:
+            raise ShiftOutOfBudget(f"shift {x} exceeds window margin {group.margin}")
+        lo, hi = group.span
+        start = self.y - x
+        if start < lo or start + self.cert.length - 1 > hi:
             raise ShiftOutOfBudget(
-                f"shifted evaluation interval [{lo}, {lo + self.cert.length}) "
+                f"shifted evaluation interval [{start}, {start + self.cert.length}) "
                 f"leaves the window"
             )
-        region = bitops.mask(self.cert.length) << (lo - w.lo)
+        region = bitops.mask(self.cert.length) << (start - lo)
         return Fraction((B.bits & region).bit_count(), self.cert.length)
 
     def invariance_defect(self, x, B: MaterializedSet) -> Fraction:
@@ -221,10 +219,6 @@ def measure_build(
     m = FolnerMeasure(cert, y, avoided=avoided_descriptor or {"cardinality": A.cardinality()})
     assert m.mu(A) == 0
     return m
-
-
-def invariance_defect(m: FolnerMeasure, x, B: MaterializedSet) -> Fraction:
-    return m.invariance_defect(x, B)
 
 
 @dataclass(frozen=True)

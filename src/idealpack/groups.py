@@ -41,7 +41,7 @@ Where the carriers really differ, they answer through one method each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -97,13 +97,6 @@ class Window:
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
-
-    @classmethod
-    def radius(cls, w: int, margin: int = 0) -> "Window":
-        """Symmetric window [-w, w]."""
-        if w < 1:
-            raise InvalidParam("window radius must be >= 1")
-        return cls(-w, w, margin)
 
 
 class _GroupBase:
@@ -639,9 +632,6 @@ class MaterializedSet:
 
     def elements(self) -> list:
         return [self.group.elem_at(i) for i in bitops.iter_bits(self.bits)]
-
-    def restrict(self, region_mask: int) -> "MaterializedSet":
-        return MaterializedSet(self.group, self.bits & region_mask, self.tally)
 
     def density(self) -> Fraction:
         return Fraction(self.cardinality(), self.group.size)

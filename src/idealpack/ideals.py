@@ -26,7 +26,6 @@ at-scale semantics for every kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -45,7 +44,6 @@ __all__ = [
     "GeneratedIdeal",
     "StageIdeal",
     "make_ideal",
-    "member",
     "max_window_count",
 ]
 
@@ -84,10 +82,6 @@ class Ideal:
 
     def descriptor(self) -> dict:
         return {"kind": self.kind}
-
-    def proxy_flags(self) -> dict:
-        """Extra report fields this kind mandates (e.g. the N-proxy flag)."""
-        return {}
 
     def cardinality_cutoff(self) -> Optional[int]:
         """c when a bare bitset X is a member exactly when |X| <= c (after the
@@ -179,9 +173,6 @@ class DensityZeroIdeal(Ideal):
             "threshold": str(self.threshold),
             "proxy-for-N": True,
         }
-
-    def proxy_flags(self) -> dict:
-        return {"proxy-for-N": True}
 
 
 class GeneratedIdeal(Ideal):
@@ -289,9 +280,6 @@ class StageIdeal(Ideal):
     def descriptor(self) -> dict:
         return {"kind": self.kind, "base": self.base.descriptor(), "admitted": self.count}
 
-    def proxy_flags(self) -> dict:
-        return self.base.proxy_flags()
-
 
 def make_ideal(kind: str, **params) -> Ideal:
     if kind == "trivial":
@@ -304,7 +292,4 @@ def make_ideal(kind: str, **params) -> Ideal:
         return GeneratedIdeal(**params)
     raise InvalidParam(f"unknown ideal kind {kind!r}")
 
-
-def member(ideal: Ideal, A: MaterializedSet, expr: Optional[SetExpr] = None) -> bool:
-    return ideal.member(A, expr)
 

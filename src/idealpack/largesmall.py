@@ -120,6 +120,12 @@ class LargeBounds:
         if self.shift_range < 0:
             raise InvalidParam(f"largeness bounds need shift_range >= 0, got {self.shift_range}")
 
+    @property
+    def depth(self) -> int:
+        """The deepest prefix {0..k} the integer search tries: a family of at
+        most ``max_f`` shifts, none past ``shift_range``."""
+        return min(self.shift_range, self.max_f - 1)
+
 
 @dataclass(frozen=True)
 class SmallBounds:
@@ -135,6 +141,12 @@ class SmallBounds:
             raise InvalidParam(f"smallness bounds need s >= 0, got {self.s}")
         if self.cap < 1:
             raise InvalidParam(f"smallness bounds need cap >= 1, got {self.cap}")
+
+    @property
+    def reach(self) -> int:
+        """The largest shift a smallness search on the integers uses: a
+        family shift, or an inner prefix depth."""
+        return max(self.s, self.inner.depth)
 
 
 @dataclass
@@ -271,7 +283,7 @@ def _prefix_large(
 ) -> LargenessWitness:
     """Minimal-prefix search on the integer kinds: try F = {0..k}, smallest k first."""
     group = A.group
-    kmax = min(bounds.shift_range, bounds.max_f - 1)
+    kmax = bounds.depth
     steps = None
     if group.margin is not None:
         if kmax > group.margin:
@@ -550,7 +562,7 @@ class _ZRuns:
         self.bits = A.bits
         self.size = A.group.size
         self.cutoff = cutoff
-        self.kmax = min(inner.shift_range, inner.max_f - 1)
+        self.kmax = inner.depth
         pos = bitops.positions_from_bits(A.bits, self.size)
         self.pos, self.reach, self.weight = _compress(pos, s, self.size)
 
@@ -705,10 +717,9 @@ def is_ideal_small(
         return _zmod_smallness(A, ideal, bounds)
     cutoff = None
     if group.margin is not None:
-        needed = max(bounds.s, min(bounds.inner.shift_range, bounds.inner.max_f - 1))
-        if needed > group.margin:
+        if bounds.reach > group.margin:
             raise RangeExceedsMargin(
-                f"smallness bounds need shifts up to {needed}, margin is {group.margin}"
+                f"smallness bounds need shifts up to {bounds.reach}, margin is {group.margin}"
             )
         cutoff = ideal.cardinality_cutoff()
     pool = group.family_pool(bounds.s)

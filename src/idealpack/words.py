@@ -27,7 +27,6 @@ from .errors import InvalidParam
 
 __all__ = [
     "ALPHABET",
-    "inverse_letter",
     "is_reduced",
     "reduce_word",
     "mul_words",
@@ -50,10 +49,6 @@ _LETTER_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
 # letter allowed after p, _DIGIT[p, c] the digit of letter c after p
 _AFTER = np.array([[c for c in range(4) if c != p ^ 1] for p in range(4)], dtype=np.int64)
 _DIGIT = np.array([[c - (c > p ^ 1) for c in range(4)] for p in range(4)], dtype=np.int64)
-
-
-def inverse_letter(ch: str) -> str:
-    return _INV[ch]
 
 
 def is_reduced(word: str) -> bool:

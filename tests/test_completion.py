@@ -2,11 +2,7 @@
 
 import pytest
 
-from idealpack.completion import (
-    CompletionContext,
-    iterate_completion,
-    pack_completion_stage,
-)
+from idealpack.completion import CompletionContext, iterate_completion
 from idealpack.errors import InvalidParam
 from idealpack.groups import Window, ZWindowGroup
 from idealpack.ideals import StageIdeal, TrivialIdeal
@@ -116,7 +112,7 @@ def test_s_completion_runs_to_fixpoint():
 
 def test_single_stage_helper_matches_first_stage():
     catalog = default_catalog()
-    out = pack_completion_stage(["nothing"], 2, catalog, G, SHIFTS, 8)
+    out, _ = CompletionContext(catalog, G).pack_stage({"nothing"}, 1, [2], SHIFTS, 8)
     assert "pows" in out
     assert "nothing" in out  # stages only grow
     assert "parity" not in out

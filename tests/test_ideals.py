@@ -144,7 +144,7 @@ def test_max_window_count_cyclic_wraps():
 def test_density_zero_proxy_flag():
     I = DensityZeroIdeal()
     assert I.descriptor()["proxy-for-N"] is True
-    assert I.proxy_flags() == {"proxy-for-N": True}
+    assert StageIdeal(I, ZW).descriptor()["base"]["proxy-for-N"] is True
 
 
 # -- generated ----------------------------------------------------------------
