@@ -104,9 +104,10 @@ class ConflictOracle:
     non-negative shifts, a pair g, h meets through one difference d alone,
     since gA ∩ hA = g(A ∩ g⁻¹hA).  The pair conflicts exactly when the least
     witness u ∈ A with d·u ∈ A (in index order) lies in the pair's exact
-    core: anywhere where translation is exact (d = g⁻¹h), and at most
-    size-1-max(b, c) on a window (d = |c-b|).  One table holds the least
-    witness per difference, filled by gathers through A's positions.
+    core: at most size-1 where translation is exact (d = g⁻¹h), at most
+    size-1-max(b, c) on a window (shifts b, c; d = |c-b|).  One table holds
+    the least witness per difference, filled by gathers through A's
+    positions.
 
     Everything else (the free group, a window with a negative shift, n >= 3,
     every other ideal) intersects cached translate bitsets and asks the
@@ -124,11 +125,12 @@ class ConflictOracle:
         self.edges_evaluated = 0
         self._mode = "general"
         size = self.group.size
-        if ideal.cardinality_cutoff() is not None:
+        cutoff = ideal.cardinality_cutoff()
+        if cutoff is not None:
             # the usage errors ``member`` raises on this carrier and ideal,
             # before the first edge
             ideal.member(self.group.empty_set())
-        if n == 2 and ideal.cardinality_cutoff() == 0:
+        if n == 2 and cutoff == 0:
             if self.group.translation_is_exact:
                 self._mode = "difference-pairs"
                 self._index = np.array([self.group.index(c) for c in self.cands], dtype=np.int64)
@@ -142,7 +144,8 @@ class ConflictOracle:
         # translate cache for the general path, if it fits
         self._tcache: Optional[dict] = None
         if self._mode == "general":
-            if (size // 8 + 1) * len(self.cands) <= _CACHE_BYTE_LIMIT:
+            est = (size // 8 + 1) * len(self.cands)
+            if est <= _CACHE_BYTE_LIMIT:
                 self._tcache = {}
             return
         self._positions = bitops.positions_from_bits(A.bits, size)
@@ -238,7 +241,8 @@ class ConflictOracle:
                 break
         shifts = [self.cands[i] for i in combo]
         core = self.group.exact_core_mask(shifts)
-        return not self.ideal.member(MaterializedSet(self.group, inter & core))
+        piece = MaterializedSet(self.group, inter & core)
+        return not self.ideal.member(piece)
 
     def pair_rows(self) -> tuple[list[int], list[int]]:
         """The n=2 conflict graph as bitset rows in search order.
