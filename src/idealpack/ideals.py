@@ -291,5 +291,3 @@ def make_ideal(kind: str, **params) -> Ideal:
     if kind == "generated":
         return GeneratedIdeal(**params)
     raise InvalidParam(f"unknown ideal kind {kind!r}")
-
-

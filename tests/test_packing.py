@@ -130,6 +130,28 @@ def test_element_pair_table_on_a_large_set():
     assert edge[0][2] and not edge[0][1]  # A meets dA exactly for even d
 
 
+def test_window_witness_table_on_a_large_set():
+    # 2001 differences times 2501 positions is far past one gather: the
+    # witness table is filled in chunks of differences.  Every even
+    # difference d has the witness 0; an odd one has only 4999 - d, which
+    # lies on a pair's exact core only when one of its shifts is 0.
+    g = ZWindowGroup(Window(0, 4999, margin=2000))
+    A = g.set_of([*range(0, 5000, 2), 4999])
+    cands = [1999, 3, 2000, 0, 1001, 8, 1500, 7]
+    oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
+    assert oracle._mode == "difference-pairs"
+    order, rows = oracle.pair_rows()
+
+    def literal(b, c):
+        inter = g.translate_bits(b, A.bits)[0] & g.translate_bits(c, A.bits)[0]
+        return inter & g.exact_core_mask([b, c]) != 0
+
+    edge = [[i != j and literal(b, c) for j, c in enumerate(cands)] for i, b in enumerate(cands)]
+    for p, i in enumerate(order):
+        assert rows[p] == sum(1 << q for q, j in enumerate(order) if edge[i][j])
+    assert edge[0][1] and edge[3][0] and not edge[1][5] and not edge[0][2]
+
+
 def test_greedy_pair_rows_cached_as_packed_bits():
     # A = {0, 1} on Z_1024 keeps every even shift; the oracle caches the
     # conflict rows the greedy scan reads, each m packed bits, beside one
