@@ -14,11 +14,21 @@ Grammar (LL(1), whitespace-insensitive, case-sensitive names)::
 A bare identifier that is not a reserved name is a reference into a catalog
 of named sets and must be resolved (:func:`resolve`) before materialization.
 
-``shift`` is symbolic: materialization evaluates the shifted predicate
-pointwise, so no boundary loss occurs at the window edge (unlike the budgeted
-runtime translation of an already-materialized set).  On Z-mod-N it rotates;
-on the free group the second argument is a reduced word and truncation drops
-are recorded in the result's tally.
+Materialization is one recursive evaluation to a bitset and a truncation
+tally, the same on every carrier.  ``union``, ``inter``, ``diff`` and
+``compl`` are bit operations under the group's full mask, and tallies add.
+Only the leaves and ``shift`` read the carrier:
+
+* on the integer carriers (a Z window, Z-mod-N) a primitive is evaluated
+  pointwise on the carrier's integer span; a Cayley table knows only
+  ``list`` (of element indices), the free group only ``f2start``; ``all``
+  and ``empty`` exist everywhere;
+* ``shift`` on a Z window evaluates its operand on the window moved back by
+  the shift, so no boundary loss occurs at the window edge (unlike the
+  budgeted runtime translation of an already-materialized set).  On
+  Z-mod-N it rotates; on the free group it takes a reduced word and
+  translates, recording truncation drops in the tally.  A Cayley table
+  refuses it.
 
 Integer primitives take their pointwise meaning on the representative range
 ``[0, N)`` of Z-mod-N (``evens`` on Z_12 is {0,2,4,6,8,10}; ``ap`` does not
@@ -347,96 +357,56 @@ def resolve(expr: SetExpr, env: dict[str, SetExpr]) -> SetExpr:
 _EMPTY_POS = np.empty(0, dtype=np.int64)
 
 
-def _triangular_upto(hi: int) -> np.ndarray:
-    """All n(n-1)/2 <= hi, n >= 0 (so 0 and 1 are both present)."""
-    if hi < 0:
-        return _EMPTY_POS
-    n_max = int(math.isqrt(8 * hi + 1) + 3) // 2 + 1
-    n = np.arange(0, n_max + 1, dtype=np.int64)
-    t = n * (n - 1) // 2
-    return bitops.sorted_unique(t[t <= hi])
-
-
-def _z_positions(expr: SetExpr, lo: int, hi: int, wrap: int | None = None) -> np.ndarray:
-    """Sorted positions of the pointwise evaluation of ``expr`` on [lo, hi].
-
-    With ``wrap`` = N (on Z_N, [lo, hi] = [0, N-1]) a shift rotates mod N,
-    while primitives keep their pointwise meaning on [0, N).
-    """
-    if hi < lo:
-        return _EMPTY_POS
-    if isinstance(expr, Prim):
-        name, args = expr.name, expr.args
-        if name == "evens":
-            first = lo if lo % 2 == 0 else lo + 1
-            return np.arange(first, hi + 1, 2, dtype=np.int64)
-        if name == "triangular":
-            t = _triangular_upto(hi)
-            return t[t >= lo]
-        if name == "ap":
-            a, d = args
-            if d == 0:
-                return np.array([a], dtype=np.int64) if lo <= a <= hi else _EMPTY_POS
-            # elements a + k d, k >= 0, clipped to [lo, hi]
-            if d > 0:
-                k_lo = max(0, -(-(lo - a) // d))
-                k_hi = (hi - a) // d
-            else:
-                k_lo = max(0, -(-(hi - a) // d))
-                k_hi = (lo - a) // d
-            if k_hi < k_lo:
-                return _EMPTY_POS
-            vals = a + d * np.arange(k_lo, k_hi + 1, dtype=np.int64)
-            return np.sort(vals)
-        if name == "powers":
-            (b,) = args
-            if b < 1:
-                raise InvalidParam(f"powers base must be >= 1, got {b}")
-            if b == 1:
-                return np.array([1], dtype=np.int64) if lo <= 1 <= hi else _EMPTY_POS
-            vals = []
-            v = 1
-            while v <= hi:
-                if v >= lo:
-                    vals.append(v)
-                v *= b
-            return np.array(vals, dtype=np.int64)
-        if name == "interval":
-            a, b = args
-            if b < a:
-                raise InvalidParam(f"interval({a},{b}) is descending")
-            return np.arange(max(a, lo), min(b, hi) + 1, dtype=np.int64)
-        if name == "list":
-            vals = sorted({x for x in args if lo <= x <= hi})
-            return np.array(vals, dtype=np.int64)
-        if name == "all":
-            return np.arange(lo, hi + 1, dtype=np.int64)
-        if name == "empty":
+def _int_positions(prim: Prim, lo: int, hi: int) -> np.ndarray:
+    """Positions of an integer primitive on [lo, hi], in any order, possibly
+    repeated (``all`` and ``empty`` never get here)."""
+    name, args = prim.name, prim.args
+    if name == "evens":
+        return np.arange(lo + lo % 2, hi + 1, 2, dtype=np.int64)
+    if name == "triangular":
+        if hi < 0:
             return _EMPTY_POS
-        if name == "f2start":
-            raise KindMismatch("f2start only materializes on the free group")
-        raise InvalidParam(f"unknown primitive {name!r}")
-    if isinstance(expr, Combine):
-        if expr.op == "compl":
-            inner = _z_positions(expr.args[0], lo, hi, wrap)
-            return np.setdiff1d(np.arange(lo, hi + 1, dtype=np.int64), inner, assume_unique=True)
-        left = _z_positions(expr.args[0], lo, hi, wrap)
-        right = _z_positions(expr.args[1], lo, hi, wrap)
-        if expr.op == "union":
-            return bitops.sorted_unique(np.concatenate((left, right)))
-        if expr.op == "inter":
-            return np.intersect1d(left, right, assume_unique=True)
-        if expr.op == "diff":
-            return np.setdiff1d(left, right, assume_unique=True)
-    if isinstance(expr, Shift):
-        if not isinstance(expr.by, int):
-            raise KindMismatch("word shift does not apply to integer groups")
-        if wrap is not None:
-            return bitops.sorted_unique((_z_positions(expr.inner, lo, hi, wrap) + expr.by) % wrap)
-        return _z_positions(expr.inner, lo - expr.by, hi - expr.by) + expr.by
-    if isinstance(expr, NameRef):
-        raise UnknownName(f"unresolved name {expr.name!r}")
-    raise TypeError(f"not a SetExpr: {expr!r}")
+        # n(n-1)/2 for n >= 0, so 0 comes twice and 1 once
+        n = np.arange(0, (math.isqrt(8 * hi + 1) + 3) // 2 + 2, dtype=np.int64)
+        t = n * (n - 1) // 2
+        return t[(t >= lo) & (t <= hi)]
+    if name == "ap":
+        a, d = args
+        if d == 0:
+            return np.array([a], dtype=np.int64) if lo <= a <= hi else _EMPTY_POS
+        # elements a + k d, k >= 0, clipped to [lo, hi]
+        if d > 0:
+            k_lo = max(0, -(-(lo - a) // d))
+            k_hi = (hi - a) // d
+        else:
+            k_lo = max(0, -(-(hi - a) // d))
+            k_hi = (lo - a) // d
+        if k_hi < k_lo:
+            return _EMPTY_POS
+        return a + d * np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    if name == "powers":
+        (b,) = args
+        if b < 1:
+            raise InvalidParam(f"powers base must be >= 1, got {b}")
+        if b == 1:
+            return np.array([1], dtype=np.int64) if lo <= 1 <= hi else _EMPTY_POS
+        vals = []
+        v = 1
+        while v <= hi:
+            if v >= lo:
+                vals.append(v)
+            v *= b
+        return np.array(vals, dtype=np.int64)
+    if name == "interval":
+        a, b = args
+        if b < a:
+            raise InvalidParam(f"interval({a},{b}) is descending")
+        return np.arange(max(a, lo), min(b, hi) + 1, dtype=np.int64)
+    if name == "list":
+        return np.array([x for x in args if lo <= x <= hi], dtype=np.int64)
+    if name == "f2start":
+        raise KindMismatch("f2start only materializes on the free group")
+    raise InvalidParam(f"unknown primitive {name!r}")
 
 
 def _f2_start_bits(letter: str, depth: int) -> int:
@@ -456,39 +426,44 @@ def _f2_start_bits(letter: str, depth: int) -> int:
     return bits
 
 
-def _table_bits(expr: SetExpr, group: Group) -> tuple[int, int]:
-    """(bits, tally) of the pointwise evaluation on a table carrier.
-
-    On the word ball the primitive is ``f2start`` and ``shift`` takes a
-    word; a Cayley table has no symbolic primitives, and ``list`` names
-    element indices there.  Both have ``all``, ``empty`` and the set algebra.
-    """
+def _evaluate(expr: SetExpr, group: Group, lo: int) -> tuple[int, int]:
+    """(bits, tally) of the pointwise evaluation of ``expr`` on ``group``;
+    on the integer carriers bit i stands for the integer ``lo + i``."""
     if isinstance(expr, Combine):
-        parts = [_table_bits(a, group) for a in expr.args]
+        parts = [_evaluate(a, group, lo) for a in expr.args]
         bits = [b for b, _ in parts]
         tally = sum(t for _, t in parts)
-        if expr.op == "compl":
-            return ~bits[0] & group.full_mask, tally
         if expr.op == "union":
             return bits[0] | bits[1], tally
         if expr.op == "inter":
             return bits[0] & bits[1], tally
         if expr.op == "diff":
             return bits[0] & ~bits[1], tally
-    if isinstance(expr, Prim) and expr.name in ("all", "empty"):
+        if expr.op == "compl":
+            return ~bits[0] & group.full_mask, tally
+    elif isinstance(expr, Prim) and expr.name in ("all", "empty"):
         return (group.full_mask if expr.name == "all" else 0), 0
-    if group.depth is None:
+    if group.span is None and group.depth is None:
+        # a Cayley table: no symbolic primitives, and list names element indices
         if isinstance(expr, Prim) and expr.name == "list":
             return group.set_of(expr.args).bits, 0
         raise KindMismatch(f"{print_set_expr(expr)} does not materialize on kind {group.kind!r}")
     if isinstance(expr, Prim):
-        if expr.name == "f2start":
-            return _f2_start_bits(expr.args[0], group.depth), 0
-        raise KindMismatch(f"{expr.name} does not materialize on the free group")
+        if group.span is not None:
+            pos = _int_positions(expr, lo, lo + group.size - 1)
+            return bitops.bits_from_positions(pos - lo, group.size), 0
+        if expr.name != "f2start":
+            raise KindMismatch(f"{expr.name} does not materialize on the free group")
+        return _f2_start_bits(expr.args[0], group.depth), 0
     if isinstance(expr, Shift):
-        if isinstance(expr.by, int):
+        if group.span is not None and not isinstance(expr.by, int):
+            raise KindMismatch("word shift does not apply to integer groups")
+        if group.depth is not None and isinstance(expr.by, int):
             raise KindMismatch("integer shift does not apply to the free group")
-        bits, tally = _table_bits(expr.inner, group)
+        if group.span is not None and group.modulus is None:
+            # a Z window: evaluate on the window moved back, with no edge loss
+            return _evaluate(expr.inner, group, lo - expr.by)
+        bits, tally = _evaluate(expr.inner, group, lo)
         out, dropped = group.translate_bits(expr.by, bits)
         return out, tally + dropped
     if isinstance(expr, NameRef):
@@ -498,11 +473,7 @@ def _table_bits(expr: SetExpr, group: Group) -> tuple[int, int]:
 
 def materialize(expr: SetExpr, group: Group) -> MaterializedSet:
     """Evaluate ``expr`` pointwise over the group's universe."""
-    if group.span is not None:
-        lo, hi = group.span
-        pos = _z_positions(expr, lo, hi, group.modulus)
-        return MaterializedSet(group, bitops.bits_from_positions(pos - lo, group.size))
-    bits, tally = _table_bits(expr, group)
+    bits, tally = _evaluate(expr, group, group.span[0] if group.span is not None else 0)
     return MaterializedSet(group, bits, tally)
 
 
