@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bitops, words
-from .errors import InvalidParam, LengthBudgetTooSmall
+from .errors import InvalidParam
 from .groups import FreeGroup2, MaterializedSet
 from .setexpr import Combine, Prim, materialize
 
@@ -99,8 +99,9 @@ def family_disjoint(
 ) -> DisjointnessReport:
     """Check all n-subsets of translators for empty translate intersection.
 
-    Exact on the core ball of radius depth - max translator length; raises
-    LengthBudgetTooSmall when that leaves no core at all.
+    Exact on the core ball of radius depth - max translator length; the
+    group's ``check_translators`` raises LengthBudgetTooSmall when that
+    leaves no core at all.
     """
     t0 = time.perf_counter()
     group = base.group
@@ -109,16 +110,8 @@ def family_disjoint(
     if n < 2:
         raise InvalidParam(f"need n >= 2, got {n}")
     trans = [words.parse_word(t) for t in translators]
-    if len(set(trans)) != len(trans):
-        raise InvalidParam("translators must be distinct reduced words")
-    maxlen = max((len(t) for t in trans), default=0)
-    core_len = group.depth - maxlen
-    if core_len < 0:
-        raise LengthBudgetTooSmall(
-            f"translator length {maxlen} exceeds ball depth {group.depth}: "
-            f"no core region remains"
-        )
-    core_size = words.ball_size(core_len)
+    group.check_translators(trans)
+    core_size = words.ball_size(group.depth - max((len(t) for t in trans), default=0))
 
     # membership[i]: bitset over core ranks r with (t_i)^-1 * w_r in base,
     # read straight off the base's bytes (the ball is never unpacked)

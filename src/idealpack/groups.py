@@ -53,6 +53,7 @@ from .errors import (
     InvalidParam,
     InvalidTable,
     KindMismatch,
+    LengthBudgetTooSmall,
     RangeExceedsMargin,
     ScaleMismatch,
     ShiftOutOfBudget,
@@ -501,11 +502,17 @@ class FreeGroup2(_GroupBase):
         return list(words.enumerate_ball(word_len))
 
     def check_translators(self, cands: Sequence[str]) -> None:
-        """Distinct reduced words over ``aAbB``; ``""`` is the identity."""
+        """Distinct reduced words over ``aAbB`` (``""`` is the identity), none
+        longer than the ball depth, so that a core region remains."""
         for g in cands:
             if not (isinstance(g, str) and set(g) <= set(words.ALPHABET) and words.is_reduced(g)):
                 raise InvalidParam(f"translator {g!r} is not a reduced word over {words.ALPHABET!r}")
         _require_distinct(cands)
+        longest = max((len(g) for g in cands), default=0)
+        if longest > self.depth:
+            raise LengthBudgetTooSmall(
+                f"translator length {longest} exceeds ball depth {self.depth}: no core region remains"
+            )
 
     def _maps_of(self, g: str) -> list[np.ndarray]:
         """The letter maps that translate by ``g``, in the order they apply."""

@@ -55,6 +55,9 @@ CASES = {
         "pack", "--set", "f2start(a)", "--depth", "5", "--translators", "e,a,b,ba", "--n", "2", "--exact",
     ],
     # usage errors (exit 2)
+    "pack-f2-long-translator": [
+        "pack", "--set", "compl(empty)", "--depth", "2", "--translators", "e,aaa,bbb", "--n", "2", "--exact",
+    ],
     "pack-cayley-finite-sets": [
         "pack", "--set", "list{0,1}", "--n", "2", "--shifts", "0..5", "--cayley", _S3,
         "--ideal", "finite-sets", "--cutoff", "1",

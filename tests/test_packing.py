@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealpack import bitops
-from idealpack.errors import BudgetExceeded, InvalidParam, RangeExceedsMargin, ShiftOutOfBudget
+from idealpack.errors import BudgetExceeded, InvalidParam, LengthBudgetTooSmall, RangeExceedsMargin, ShiftOutOfBudget
 from idealpack.groups import CayleyGroup, FreeGroup2, MaterializedSet, Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.packing import (
@@ -570,6 +570,11 @@ _BAD_CANDIDATES = {
                                InvalidParam, "'aA' is not a reduced word"),
     "shortcut-free": (None, FreeGroup2(4).empty_set(), TrivialIdeal(), ["", "b", "e"],
                       InvalidParam, "'e' is not a reduced word"),
+    # no core region remains, so every pair would decide on nothing
+    "general-free-too-long": ("general", FreeGroup2(2).full_set(), TrivialIdeal(), ["", "aaa", "bbb"],
+                              LengthBudgetTooSmall, "translator length 3 exceeds ball depth 2"),
+    "shortcut-free-too-long": (None, FreeGroup2(2).empty_set(), TrivialIdeal(), ["", "aaa"],
+                               LengthBudgetTooSmall, "translator length 3 exceeds ball depth 2"),
 }
 
 
