@@ -83,10 +83,10 @@ class Ideal:
     def descriptor(self) -> dict:
         return {"kind": self.kind}
 
-    def cardinality_cutoff(self) -> Optional[int]:
-        """c when a bare bitset X is a member exactly when |X| <= c (after the
-        checks ``member`` makes of the carrier); None when membership
-        depends on more than the count."""
+    def cardinality_cutoff(self, group: Group) -> Optional[int]:
+        """c when a bare bitset X on ``group`` is a member exactly when
+        |X| <= c, after raising the usage errors ``member`` raises on that
+        carrier; None when membership depends on more than the count."""
         return None
 
 
@@ -98,7 +98,7 @@ class TrivialIdeal(Ideal):
     def member(self, A: MaterializedSet, expr: Optional[SetExpr] = None) -> bool:
         return A.bits == 0
 
-    def cardinality_cutoff(self) -> int:
+    def cardinality_cutoff(self, group: Group) -> int:
         return 0
 
 
@@ -121,18 +121,19 @@ class FiniteSetsIdeal(Ideal):
         self.cutoff = cutoff
 
     def member(self, A: MaterializedSet, expr: Optional[SetExpr] = None) -> bool:
-        if A.group.size <= self.cutoff:
-            raise InvalidParam(
-                f"cutoff {self.cutoff} is not below the universe size {A.group.size}; "
-                "the ideal would not be proper"
-            )
-        if A.group.translation_is_exact:  # a finite group: every set is finite
-            raise InvalidParam("finite-sets is only proper on infinite group kinds")
+        cutoff = self.cardinality_cutoff(A.group)
         if expr is not None:
             return symbolic_finiteness(expr) == "finite"
-        return A.cardinality() <= self.cutoff
+        return A.cardinality() <= cutoff
 
-    def cardinality_cutoff(self) -> int:
+    def cardinality_cutoff(self, group: Group) -> int:
+        if group.size <= self.cutoff:
+            raise InvalidParam(
+                f"cutoff {self.cutoff} is not below the universe size {group.size}; "
+                "the ideal would not be proper"
+            )
+        if group.translation_is_exact:  # a finite group: every set is finite
+            raise InvalidParam("finite-sets is only proper on infinite group kinds")
         return self.cutoff
 
     def descriptor(self) -> dict:

@@ -338,9 +338,8 @@ def _gap_steps(A: MaterializedSet, ideal: Ideal, kmax: int, region_mask: int) ->
     interval of the window and A sparse (a dense A has as many gaps as
     elements, while each bitset step costs one pass over the words and the
     loop stops at the first cover)."""
-    cutoff = ideal.cardinality_cutoff()
     size = A.group.size
-    if cutoff is None or region_mask >> size or _dense(A.bits.bit_count(), size):
+    if region_mask >> size or _dense(A.bits.bit_count(), size):
         return None
     if region_mask == 0:
         return []
@@ -348,7 +347,9 @@ def _gap_steps(A: MaterializedSet, ideal: Ideal, kmax: int, region_mask: int) ->
     r1 = region_mask.bit_length() - 1
     if region_mask >> r0 != bitops.mask(r1 - r0 + 1):
         return None
-    ideal.member(A.group.empty_set())  # the usage errors of the first bitset step
+    cutoff = ideal.cardinality_cutoff(A.group)  # the usage errors of the first bitset step
+    if cutoff is None:
+        return None
     # depth k certifies on [r0+k, r1], which is empty past r1 - r0
     depth = min(kmax, r1 - r0)
     profile = sum(residual_profile(gaps, None, depth) for gaps in _gap_lengths(A.bits, r0, r1))
@@ -715,21 +716,19 @@ def is_ideal_small(
     group = A.group
     if group.modulus is not None:
         return _zmod_smallness(A, ideal, bounds)
-    cutoff = None
-    if group.margin is not None:
-        if bounds.reach > group.margin:
-            raise RangeExceedsMargin(
-                f"smallness bounds need shifts up to {bounds.reach}, margin is {group.margin}"
-            )
-        cutoff = ideal.cardinality_cutoff()
+    if group.margin is not None and bounds.reach > group.margin:
+        raise RangeExceedsMargin(
+            f"smallness bounds need shifts up to {bounds.reach}, margin is {group.margin}"
+        )
     pool = group.family_pool(bounds.s)
     total = sum(math.comb(len(pool), j) for j in range(1, bounds.m + 1))
     if total > bounds.cap:
         raise BudgetExceeded(
             f"{total} families exceed the enumeration cap {bounds.cap}"
         )
+    # the usage errors of the first family's check, after the budget's
+    cutoff = ideal.cardinality_cutoff(group) if group.margin is not None else None
     if cutoff is not None:
-        ideal.member(group.empty_set())  # the usage errors of the first family's check
         chunks = _run_chunks(_ZRuns(A, cutoff, bounds.s, bounds.inner), pool, bounds.m)
     else:
         chunks = _general_chunks(A, ideal, pool, bounds)

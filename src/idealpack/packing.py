@@ -125,11 +125,8 @@ class ConflictOracle:
         self.edges_evaluated = 0
         self._mode = "general"
         size = self.group.size
-        cutoff = ideal.cardinality_cutoff()
-        if cutoff is not None:
-            # the usage errors ``member`` raises on this carrier and ideal,
-            # before the first edge
-            ideal.member(self.group.empty_set())
+        # raises the usage errors ``member`` would at the first edge
+        cutoff = ideal.cardinality_cutoff(self.group)
         if n == 2 and cutoff == 0:
             if self.group.translation_is_exact:
                 self._mode = "difference-pairs"

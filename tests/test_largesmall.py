@@ -269,7 +269,7 @@ def test_run_checker_matches_general_check(data):
     A = g.set_of(data.draw(clustered_sets(size, 2 * s + 4)))
     ideal = data.draw(_IDEALS)
     inner = LargeBounds(max_f=data.draw(st.integers(1, margin + 1)), shift_range=data.draw(st.integers(0, margin)))
-    runs = _ZRuns(A, ideal.cardinality_cutoff(), s, inner)
+    runs = _ZRuns(A, ideal.cardinality_cutoff(g), s, inner)
     pool = spiral_shifts(s)
     for j in (1, 2, 3):
         families = [list(F) for F in itertools.combinations(pool, j)]
