@@ -34,8 +34,7 @@ module tests the carrier class.  They read the facts a carrier owns, each
   tables).
 
 Where the carriers really differ, they answer through one method each:
-``family_pool`` (the translators a smallness search enumerates),
-``candidates`` (the default packing candidates and their range rules) and
+``family_pool`` (the translators a smallness search enumerates) and
 ``check_translators`` (which candidate lists packing accepts).
 """
 
@@ -54,7 +53,6 @@ from .errors import (
     InvalidTable,
     KindMismatch,
     LengthBudgetTooSmall,
-    RangeExceedsMargin,
     ScaleMismatch,
     ShiftOutOfBudget,
 )
@@ -153,10 +151,6 @@ class _GroupBase:
     def family_pool(self, s: int) -> list:
         """The translators a smallness search draws its families from, in
         enumeration order: every element on a finite table."""
-        return list(range(self.size))
-
-    def candidates(self, shift_range: int | None = None, word_len: int | None = None) -> list:
-        """The default packing candidates: every element of a finite group."""
         return list(range(self.size))
 
     def check_translators(self, cands: Sequence) -> None:
@@ -264,16 +258,6 @@ class ZWindowGroup(_GroupBase):
 
     def family_pool(self, s: int) -> list[int]:
         return spiral_shifts(s)
-
-    def candidates(self, shift_range: int | None = None, word_len: int | None = None) -> list[int]:
-        """[0..shift_range], within the margin."""
-        if shift_range is None:
-            raise InvalidParam("Z-window candidates need a shift range")
-        if shift_range < 0:
-            raise InvalidParam("shift range must be >= 0")
-        if shift_range > self.margin:
-            raise RangeExceedsMargin(f"shift range {shift_range} exceeds margin {self.margin}")
-        return list(range(shift_range + 1))
 
     def check_translators(self, cands: Sequence[int]) -> None:
         """Distinct shifts, each within the declared margin."""
@@ -492,14 +476,6 @@ class FreeGroup2(_GroupBase):
 
     def family_pool(self, s: int) -> list[str]:
         return list(words.enumerate_ball(min(s, self.depth)))
-
-    def candidates(self, shift_range: int | None = None, word_len: int | None = None) -> list[str]:
-        """The words of length at most ``word_len``, in shortlex order."""
-        if word_len is None:
-            raise InvalidParam("free-group candidates need a word length")
-        if not (0 <= word_len <= self.depth):
-            raise RangeExceedsMargin(f"translator length {word_len} exceeds ball depth {self.depth}")
-        return list(words.enumerate_ball(word_len))
 
     def check_translators(self, cands: Sequence[str]) -> None:
         """Distinct reduced words over ``aAbB`` (``""`` is the identity), none

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealpack import bitops
-from idealpack.errors import BudgetExceeded, InvalidParam, LengthBudgetTooSmall, RangeExceedsMargin, ShiftOutOfBudget
+from idealpack.errors import BudgetExceeded, InvalidParam, LengthBudgetTooSmall, ShiftOutOfBudget
 from idealpack.groups import CayleyGroup, FreeGroup2, MaterializedSet, Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.packing import (
@@ -528,15 +528,6 @@ def test_bad_arity_and_duplicates():
         pack_exact(A, TrivialIdeal(), [0, 1], 1)
     with pytest.raises(InvalidParam):
         pack_exact(A, TrivialIdeal(), [0, 0, 1], 2)
-
-
-def test_candidate_translators_respects_margin():
-    g = ZWindowGroup(Window(0, 99, margin=4))
-    assert g.candidates(shift_range=3) == [0, 1, 2, 3]
-    with pytest.raises(RangeExceedsMargin):
-        g.candidates(shift_range=9)
-    zm = ZModGroup(6)
-    assert zm.candidates() == [0, 1, 2, 3, 4, 5]
 
 
 # -- candidate checks, whichever path answers the query --------------------------
