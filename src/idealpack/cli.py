@@ -44,7 +44,7 @@ from .groups import (
 from .ideals import Ideal, make_ideal
 from .largesmall import LargeBounds, SmallBounds, is_ideal_small, is_large
 from .packing import pack_exact, pack_greedy
-from .reports import envelope, render_json, render_text
+from .reports import envelope, render_json, render_text, show_elements
 from .setexpr import (
     Catalog,
     SetExpr,
@@ -299,7 +299,7 @@ def _cmd_large(args, cfg) -> tuple[dict, int]:
         result = {
             "large": False,
             "reason": str(exc),
-            "best_family": exc.best_family,
+            "best_family": show_elements(exc.best_family),
             "best_residual_size": exc.best_residual_size,
         }
         return envelope("large", params, result, elapsed_ms=_ms(t0)), 1

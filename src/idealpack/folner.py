@@ -40,6 +40,7 @@ from .errors import (
 )
 from .groups import Group, MaterializedSet
 from .ideals import max_window_count
+from .reports import show_elements
 
 __all__ = [
     "FolnerCertificate",
@@ -68,7 +69,7 @@ class FolnerCertificate:
     def payload(self) -> dict:
         return {
             "group": self.group.descriptor(),
-            "F": [x if isinstance(x, (int, str)) else str(x) for x in self.test_set],
+            "F": show_elements(self.test_set),
             "n": self.n,
             "L": self.length,
             "whole_group": self.whole_group,
@@ -263,7 +264,7 @@ class CountingBoundReport:
     def payload(self) -> dict:
         return {
             "n": self.n,
-            "family": [f if isinstance(f, (int, str)) else str(f) for f in self.family],
+            "family": show_elements(self.family),
             "bound": str(self.bound),
             "value": str(self.value),
             "tolerance": str(self.tolerance),

@@ -28,6 +28,7 @@ import numpy as np
 from . import bitops, words
 from .errors import InvalidParam
 from .groups import FreeGroup2, MaterializedSet
+from .reports import show_elements
 from .setexpr import Combine, Prim, materialize
 
 __all__ = [
@@ -57,7 +58,7 @@ class DisjointnessReport:
     def payload(self) -> dict:
         out = {
             "base": self.base,
-            "translators": list(self.translators),
+            "translators": show_elements(self.translators),
             "n": self.n,
             "depth": self.depth,
             "core_size": self.core_size,
@@ -67,8 +68,8 @@ class DisjointnessReport:
             "elapsed_ms": self.stats.get("elapsed_ms", 0),
         }
         if not self.disjoint:
-            out["violating"] = self.violating
-            out["witness"] = self.witness
+            out["violating"] = show_elements(self.violating)
+            out["witness"] = show_elements([self.witness])[0]
         if self.notes:
             out["notes"] = self.notes
         return out
@@ -134,14 +135,14 @@ def family_disjoint(
                 break
         checked += 1
         if inter:
-            violating = [trans[i] or "e" for i in combo]
+            violating = [trans[i] for i in combo]
             w = words.word_at_rank((inter & -inter).bit_length() - 1)
             # the witness is a certificate: confirm it by word arithmetic,
             # independently of the rank kernel that found it
             for i in combo:
                 if not base.contains(words.mul_words(words.invert_word(trans[i]), w)):
                     raise RuntimeError(f"witness {w!r} is not in the translate by {trans[i]!r}")
-            witness = w or "e"
+            witness = w
             break
 
     notes = []
@@ -152,7 +153,7 @@ def family_disjoint(
         )
     return DisjointnessReport(
         base={"label": base_label, "cardinality": base.cardinality()},
-        translators=[t or "e" for t in trans],
+        translators=trans,
         n=n,
         depth=group.depth,
         core_size=core_size,

@@ -83,6 +83,7 @@ from .errors import (
 )
 from .groups import Group, MaterializedSet, spiral_shifts
 from .ideals import Ideal, TrivialIdeal
+from .reports import show_elements
 
 __all__ = [
     "LargeBounds",
@@ -159,7 +160,7 @@ class LargenessWitness:
 
     def payload(self) -> dict:
         return {
-            "family": [f if isinstance(f, (int, str)) else str(f) for f in self.family],
+            "family": show_elements(self.family),
             "family_size": len(self.family),
             "residual_size": self.residual_size,
             "ideal": self.ideal,
@@ -183,7 +184,7 @@ class SmallnessEvidence:
     def payload(self) -> dict:
         out = {
             "verdict": self.verdict,
-            "counterexample": self.counterexample,
+            "counterexample": show_elements(self.counterexample),
             "bounds": {
                 "m": self.m,
                 "s": self.s,
@@ -195,7 +196,7 @@ class SmallnessEvidence:
             "ideal": self.ideal,
         }
         if self.first_inconclusive is not None:
-            out["first_inconclusive"] = self.first_inconclusive
+            out["first_inconclusive"] = show_elements(self.first_inconclusive)
         if self.note:
             out["note"] = self.note
         return out

@@ -48,6 +48,7 @@ from . import bitops
 from .errors import BudgetExceeded, InvalidParam
 from .groups import MaterializedSet
 from .ideals import Ideal, TrivialIdeal
+from .reports import show_elements
 from .setexpr import SetExpr
 
 __all__ = [
@@ -79,8 +80,7 @@ class PackingReport:
             "n": self.n,
             "value": self.value,
             "flag": self.flag,
-            # the free group's identity, the empty word, prints as "e"
-            "family": [f if isinstance(f, int) else str(f) or "e" for f in self.family],
+            "family": show_elements(self.family),
             "floor": self.floor,
             "candidates": self.candidate_count,
             "ideal": self.ideal,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-__all__ = ["scrub", "strip_timing", "render_json", "render_text", "envelope"]
+__all__ = ["scrub", "strip_timing", "render_json", "render_text", "envelope", "show_elements"]
 
 TIMING_KEYS = frozenset({"elapsed_ms", "elapsed_s", "timing"})
 
@@ -31,6 +31,15 @@ def scrub(value: Any) -> Any:
     if isinstance(value, (int, float, str)):
         return value
     return str(value)
+
+
+def show_elements(elems: Optional[Sequence]) -> Optional[list]:
+    """Group elements as reports print them: an int as it is, the free
+    group's identity (the empty word) as ``"e"``, anything else as its str;
+    None stays None."""
+    if elems is None:
+        return None
+    return [x if isinstance(x, int) else str(x) or "e" for x in elems]
 
 
 def strip_timing(value: Any) -> Any:

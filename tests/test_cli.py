@@ -122,6 +122,16 @@ def test_f2_exit_codes(capsys):
     assert doc["result"]["witness"] == "A"
 
 
+def test_f2_identity_prints_as_e_in_every_report(capsys):
+    # the library holds the empty word; each report prints it as "e"
+    code, doc = run_json(capsys, "f2", "--depth", "4", "--base", "A", "--translators", "e,a")
+    assert doc["result"]["violating"] == ["e", "a"]
+    code, doc = run_json(capsys, "small", "--set", "compl(f2start(a))", "--depth", "4", "--m", "2", "--s", "1")
+    assert doc["result"]["counterexample"] == ["e", "b"]
+    code, doc = run_json(capsys, "large", "--set", "all", "--depth", "3")
+    assert doc["result"]["family"] == ["e"]
+
+
 # -- measure / folner / density -------------------------------------------------------
 
 

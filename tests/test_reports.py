@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 
-from idealpack.reports import envelope, render_json, render_text, scrub, strip_timing
+from idealpack.reports import envelope, render_json, render_text, scrub, show_elements, strip_timing
 
 
 def test_scrub_fractions_and_tuples():
@@ -36,3 +36,9 @@ def test_render_text_nests():
     text = render_text({"top": {"inner": 1}, "flag": True})
     assert "top:" in text
     assert "inner: 1" in text
+
+
+def test_show_elements_prints_the_identity_word_as_e():
+    assert show_elements(["", "ab", "B"]) == ["e", "ab", "B"]
+    assert show_elements((0, -3, 7)) == [0, -3, 7]
+    assert show_elements(None) is None
