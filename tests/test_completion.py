@@ -5,7 +5,7 @@ import pytest
 from idealpack.completion import CompletionContext, iterate_completion
 from idealpack.errors import InvalidParam
 from idealpack.groups import Window, ZWindowGroup
-from idealpack.ideals import StageIdeal, TrivialIdeal
+from idealpack.ideals import StageIdeal
 from idealpack.largesmall import LargeBounds, SmallBounds
 from idealpack.setexpr import default_catalog
 

@@ -13,7 +13,6 @@ from idealpack.errors import (
     ShiftOutOfBudget,
 )
 from idealpack.folner import (
-    FolnerMeasure,
     avoid_translate,
     counting_bound_check,
     folner_set,

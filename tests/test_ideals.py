@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealpack.errors import InvalidParam
-from idealpack.groups import CayleyGroup, MaterializedSet, Window, ZModGroup, ZWindowGroup
+from idealpack.groups import CayleyGroup, Window, ZModGroup, ZWindowGroup
 from idealpack.ideals import (
     DensityZeroIdeal,
     FiniteSetsIdeal,

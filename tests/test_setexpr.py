@@ -1,12 +1,14 @@
 """Set expression language: parsing, printing, materialization, catalogs."""
 
-import pytest
-from hypothesis import given, strategies as st
+import importlib.util
+from pathlib import Path
 
-from idealpack.errors import InvalidParam, SetSyntaxError, UnknownName
-from idealpack.groups import FreeGroup2, Window, ZModGroup, ZWindowGroup
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from idealpack.errors import InvalidParam, KindMismatch, SetSyntaxError, UnknownName
+from idealpack.groups import CayleyGroup, FreeGroup2, Window, ZModGroup, ZWindowGroup
 from idealpack.setexpr import (
-    Catalog,
     Combine,
     NameRef,
     Prim,
@@ -130,6 +132,110 @@ def test_materialize_on_zmod_is_set_algebra(left, right, b, n):
     assert materialize(Combine("inter", (left, right)), g) == A.inter(B)
     assert materialize(Combine("diff", (left, right)), g) == A.diff(B)
     assert materialize(Combine("compl", (left,)), g) == A.compl()
+
+
+# -- against the benchmark's reference model -----------------------------------
+#
+# ``perfbench/model.py`` evaluates expression tuples pointwise as boolean
+# arrays, written from the documented semantics without idealpack code.  It
+# is loaded from its file and not modified.
+
+_MODEL_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "model.py"
+
+
+def _model():
+    spec = importlib.util.spec_from_file_location("perfbench_model", _MODEL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+model = _model()
+
+# the model loops forever on powers(0) and has no descending intervals, so
+# bases are >= 1 and intervals ascend; the error table below covers the rest
+model_leaves = st.one_of(
+    st.sampled_from([("evens",), ("triangular",), ("all",), ("empty",)]),
+    st.tuples(st.just("ap"), st.integers(-60, 260), st.integers(-7, 7)),
+    st.tuples(st.just("powers"), st.integers(1, 5)),
+    st.tuples(st.just("list"), st.lists(st.integers(-80, 280), max_size=6).map(tuple)),
+    st.tuples(st.just("interval"), st.integers(-80, 260), st.integers(0, 90)).map(
+        lambda t: ("interval", t[1], t[1] + t[2])
+    ),
+)
+
+
+def _model_extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["union", "inter", "diff"]), children, children),
+        st.tuples(st.just("compl"), children),
+        st.tuples(st.just("shift"), children, st.integers(-50, 50)),
+    )
+
+
+model_exprs = st.recursive(model_leaves, _model_extend, max_leaves=8)
+
+
+@given(model_exprs, st.sampled_from([(0, 199), (-120, 80), (-300, -40), (45, 300)]))
+@settings(max_examples=300, deadline=None)
+def test_materialize_matches_model_on_windows(e, span):
+    lo, hi = span
+    got = materialize(parse_set_expr(model.show(e)), ZWindowGroup(Window(lo, hi)))
+    assert got.bits == model.bits_of(model.eval_z(e, lo, hi))
+    assert got.tally == 0
+
+
+@given(model_exprs, st.one_of(st.just(1), st.integers(2, 40)))
+@settings(max_examples=300, deadline=None)
+def test_materialize_matches_model_on_zmod(e, n):
+    got = materialize(parse_set_expr(model.show(e)), ZModGroup(n))
+    assert got.bits == model.bits_of(model.eval_mod(e, n))
+    assert got.tally == 0
+
+
+def _s3():
+    from test_groups import symmetric_table
+
+    return CayleyGroup(*symmetric_table(3))
+
+
+_ERROR_CARRIERS = {"zw": ZW, "z12": ZModGroup(12), "s3": _s3(), "f2": FreeGroup2(3)}
+
+
+@pytest.mark.parametrize(
+    "text,carrier,error,message",
+    [
+        ("powers(0)", "zw", InvalidParam, "powers base must be >= 1, got 0"),
+        ("powers(-2)", "z12", InvalidParam, "powers base must be >= 1, got -2"),
+        ("interval(5,2)", "zw", InvalidParam, "interval(5,2) is descending"),
+        ("f2start(a)", "zw", KindMismatch, "f2start only materializes on the free group"),
+        ("shift(evens,ab)", "zw", KindMismatch, "word shift does not apply to integer groups"),
+        ("shift(evens,a)", "z12", KindMismatch, "word shift does not apply to integer groups"),
+        ("someset", "zw", UnknownName, "unresolved name 'someset'"),
+        ("compl(someset)", "f2", UnknownName, "unresolved name 'someset'"),
+        ("evens", "f2", KindMismatch, "evens does not materialize on the free group"),
+        ("list{0}", "f2", KindMismatch, "list does not materialize on the free group"),
+        ("shift(f2start(a),2)", "f2", KindMismatch, "integer shift does not apply to the free group"),
+        ("evens", "s3", KindMismatch, "evens does not materialize on kind 'cayley'"),
+        ("someset", "s3", KindMismatch, "someset does not materialize on kind 'cayley'"),
+        ("shift(list{1},2)", "s3", KindMismatch, "shift(list{1},2) does not materialize on kind 'cayley'"),
+        ("list{0,7}", "s3", InvalidParam, "element index 7 out of range"),
+        # errors surface depth first, left before right
+        ("union(powers(0),interval(5,2))", "zw", InvalidParam, "powers base must be >= 1, got 0"),
+        ("diff(interval(5,2),powers(0))", "zw", InvalidParam, "interval(5,2) is descending"),
+        ("inter(shift(all,a),f2start(b))", "z12", KindMismatch, "word shift does not apply to integer groups"),
+    ],
+)
+def test_materialize_errors(text, carrier, error, message):
+    with pytest.raises(error) as info:
+        materialize(parse_set_expr(text), _ERROR_CARRIERS[carrier])
+    assert str(info.value) == message
+
+
+def test_unknown_primitive_tree_is_refused():
+    # the parser never builds one; a hand-built tree is refused on evaluation
+    with pytest.raises(InvalidParam, match="unknown primitive 'bogus'"):
+        materialize(Prim("bogus"), ZW)
 
 
 def test_f2_primitives():
