@@ -152,13 +152,20 @@ def _model():
 
 model = _model()
 
+_SPANS = [(0, 199), (-120, 80), (-300, -40), (45, 300)]
+# integers on and next to the window ends, where clipping goes wrong
+_EDGES = sorted({x + d for span in _SPANS for x in span for d in (-1, 0, 1)})
+
 # the model loops forever on powers(0) and has no descending intervals, so
 # bases are >= 1 and intervals ascend; the error table below covers the rest
 model_leaves = st.one_of(
     st.sampled_from([("evens",), ("triangular",), ("all",), ("empty",)]),
     st.tuples(st.just("ap"), st.integers(-60, 260), st.integers(-7, 7)),
     st.tuples(st.just("powers"), st.integers(1, 5)),
-    st.tuples(st.just("list"), st.lists(st.integers(-80, 280), max_size=6).map(tuple)),
+    st.tuples(
+        st.just("list"),
+        st.lists(st.one_of(st.integers(-80, 280), st.sampled_from(_EDGES)), max_size=6).map(tuple),
+    ),
     st.tuples(st.just("interval"), st.integers(-80, 260), st.integers(0, 90)).map(
         lambda t: ("interval", t[1], t[1] + t[2])
     ),
@@ -176,7 +183,7 @@ def _model_extend(children):
 model_exprs = st.recursive(model_leaves, _model_extend, max_leaves=8)
 
 
-@given(model_exprs, st.sampled_from([(0, 199), (-120, 80), (-300, -40), (45, 300)]))
+@given(model_exprs, st.sampled_from(_SPANS))
 @settings(max_examples=300, deadline=None)
 def test_materialize_matches_model_on_windows(e, span):
     lo, hi = span
