@@ -356,6 +356,9 @@ def resolve(expr: SetExpr, env: dict[str, SetExpr]) -> SetExpr:
 
 _EMPTY_POS = np.empty(0, dtype=np.int64)
 
+# int64 positions: below this bound not even the triangular n(n-1) overflows
+_INT_REACH = 1 << 62
+
 
 def _int_positions(prim: Prim, lo: int, hi: int) -> np.ndarray:
     """Positions of an integer primitive on [lo, hi], in any order, possibly
@@ -366,8 +369,9 @@ def _int_positions(prim: Prim, lo: int, hi: int) -> np.ndarray:
     if name == "triangular":
         if hi < 0:
             return _EMPTY_POS
-        # n(n-1)/2 for n >= 0, so 0 comes twice and 1 once
-        n = np.arange(0, (math.isqrt(8 * hi + 1) + 3) // 2 + 2, dtype=np.int64)
+        # n(n-1)/2 for n >= 0 (0 twice, 1 once), from n just below lo's root
+        n_lo = max(0, (math.isqrt(8 * max(lo, 0) + 1) + 1) // 2 - 1)
+        n = np.arange(n_lo, (math.isqrt(8 * hi + 1) + 3) // 2 + 2, dtype=np.int64)
         t = n * (n - 1) // 2
         return t[(t >= lo) & (t <= hi)]
     if name == "ap":
@@ -383,7 +387,11 @@ def _int_positions(prim: Prim, lo: int, hi: int) -> np.ndarray:
             k_hi = (lo - a) // d
         if k_hi < k_lo:
             return _EMPTY_POS
-        return a + d * np.arange(k_lo, k_hi + 1, dtype=np.int64)
+        # from the first element in the window: a and d may pass int64
+        first = a + d * k_lo
+        if k_hi == k_lo:
+            return np.array([first], dtype=np.int64)
+        return first + d * np.arange(k_hi - k_lo + 1, dtype=np.int64)
     if name == "powers":
         (b,) = args
         if b < 1:
@@ -450,7 +458,10 @@ def _evaluate(expr: SetExpr, group: Group, lo: int) -> tuple[int, int]:
         raise KindMismatch(f"{print_set_expr(expr)} does not materialize on kind {group.kind!r}")
     if isinstance(expr, Prim):
         if group.span is not None:
-            pos = _int_positions(expr, lo, lo + group.size - 1)
+            hi = lo + group.size - 1
+            if not -_INT_REACH < lo <= hi < _INT_REACH:
+                raise InvalidParam(f"{expr.name} on [{lo}, {hi}] lies past |x| < 2^62")
+            pos = _int_positions(expr, lo, hi)
             return bitops.bits_from_positions(pos - lo, group.size), 0
         if expr.name != "f2start":
             raise KindMismatch(f"{expr.name} does not materialize on the free group")

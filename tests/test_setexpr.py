@@ -231,12 +231,26 @@ _ERROR_CARRIERS = {"zw": ZW, "z12": ZModGroup(12), "s3": _s3(), "f2": FreeGroup2
         ("union(powers(0),interval(5,2))", "zw", InvalidParam, "powers base must be >= 1, got 0"),
         ("diff(interval(5,2),powers(0))", "zw", InvalidParam, "interval(5,2) is descending"),
         ("inter(shift(all,a),f2start(b))", "z12", KindMismatch, "word shift does not apply to integer groups"),
+        # a window shifted past the int64 positions the primitives use
+        (f"shift(evens,{10**20})", "zw", InvalidParam, f"evens on [{-10**20}, {199 - 10**20}] lies past |x| < 2^62"),
+        (f"shift(ap(0,1),{-2**62})", "zw", InvalidParam, f"ap on [{2**62}, {2**62 + 199}] lies past |x| < 2^62"),
     ],
 )
 def test_materialize_errors(text, carrier, error, message):
     with pytest.raises(error) as info:
         materialize(parse_set_expr(text), _ERROR_CARRIERS[carrier])
     assert str(info.value) == message
+
+
+def test_integer_primitives_past_int64():
+    # an ap with at most one element in the window is evaluated in Python ints
+    assert members(f"ap(0,{10**20})") == [0]
+    assert members(f"ap({-10**20},{10**20})") == [0]
+    assert members(f"ap({10**20},-1)") == list(range(200))
+    # the triangular numbers far out cost the window's size, not the root of its end
+    far = 44_721_360 * 44_721_359 // 2 - 50  # a triangular number near 10^15, less 50
+    assert members(f"shift(triangular,{-far})") == [50]
+    assert members(f"shift(triangular,{10**18})") == []
 
 
 def test_unknown_primitive_tree_is_refused():
