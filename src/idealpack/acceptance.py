@@ -142,7 +142,7 @@ def criterion_4() -> CriterionResult:
     worst = Fraction(0)
     for _ in range(100):
         arr = rng.random(g.size) < 0.3
-        B = MaterializedSet(g, int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little"))
+        B = MaterializedSet(g, bitops.bits_from_array(arr))
         d = m.invariance_defect(1, B)
         worst = max(worst, d)
     checks.append(worst <= bound)
@@ -164,10 +164,7 @@ def criterion_5() -> CriterionResult:
     worst = ""
     for i in range(100):
         p = 0.05 + 0.5 * rng.random()
-        bits = 0
-        for j in np.nonzero(rng.random(64) < p)[0]:
-            bits |= 1 << int(j)
-        A = MaterializedSet(g, bits)
+        A = MaterializedSet(g, bitops.bits_from_array(rng.random(64) < p))
         rep = pack_greedy(A, TrivialIdeal(), list(range(64)), 2)
         mm = rep.value
         density = Fraction(A.cardinality(), 64)
@@ -226,9 +223,7 @@ def criterion_7() -> CriterionResult:
     for N in (6, 8, 10, 12):
         g = ZModGroup(N)
         for i in range(50):
-            bits = 0
-            for j in np.nonzero(rng.random(N) < 0.35)[0]:
-                bits |= 1 << int(j)
+            bits = bitops.bits_from_array(rng.random(N) < 0.35)
             A = MaterializedSet(g, bits)
             for n in (2, 3):
                 r = pack_exact(A, TrivialIdeal(), list(range(N)), n)
@@ -279,8 +274,8 @@ def criterion_8() -> CriterionResult:
         p = 0.02 + 0.2 * rng.random()
         keep = rng.random(gs.size) < p
         sub = keep & (rng.random(gs.size) < 0.6)
-        B = MaterializedSet(gs, int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little"))
-        A = MaterializedSet(gs, int.from_bytes(np.packbits(sub, bitorder="little").tobytes(), "little"))
+        B = MaterializedSet(gs, bitops.bits_from_array(keep))
+        A = MaterializedSet(gs, bitops.bits_from_array(sub))
         vb = is_small(B, bounds).verdict
         va = is_small(A, bounds).verdict
         pairs += 1

@@ -25,6 +25,7 @@ tolerance of 2*maxshift/window on Z windows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -282,8 +283,6 @@ def counting_bound_check(
 ) -> CountingBoundReport:
     """Verify the family is n-disjoint modulo the measure's null sets, then
     check mu(A) <= n/|family| (plus boundary tolerance on Z windows)."""
-    import itertools
-
     if n < 2:
         raise InvalidParam(f"counting bound needs n >= 2, got {n}")
     fam = list(family)

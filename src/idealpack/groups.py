@@ -551,8 +551,10 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
     tokens: list[int] = []
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
-        if line:
+        try:
             tokens.extend(int(t) for t in line.split())
+        except ValueError:
+            raise InvalidTable(f"{path}: {line!r} is not a row of integers") from None
     if not tokens:
         raise InvalidTable(f"{path}: no data")
     n = tokens[0]

@@ -14,6 +14,7 @@ from idealpack.groups import (
     Window,
     ZModGroup,
     ZWindowGroup,
+    load_cayley_table,
 )
 from idealpack.words import ball_size, enumerate_ball, mul_words, word_at_rank, word_rank
 
@@ -100,6 +101,13 @@ def test_cayley_rejects_non_group():
     # row 1 repeats an element: not a Latin square
     with pytest.raises(InvalidParam):
         CayleyGroup([[0, 1], [1, 1]], 0)
+
+
+def test_cayley_table_file_with_text_is_refused(tmp_path):
+    path = tmp_path / "bad.table"
+    path.write_text("2\n0 1\n1 x\n0\n")
+    with pytest.raises(InvalidTable, match="'1 x' is not a row of integers"):
+        load_cayley_table(path)
 
 
 def _row_loop_translate(table, g, bits):
