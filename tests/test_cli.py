@@ -1,11 +1,14 @@
 """CLI surface: exit codes, report shapes, determinism, config plumbing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from idealpack.cli import main
 from idealpack.reports import strip_timing
+
+S3 = str(Path(__file__).parent / "golden" / "s3.table")
 
 
 def run(capsys, *argv):
@@ -279,3 +282,150 @@ def test_verify_paper_json_repeats_once_stripped(capsys):
     docs = [run_json(capsys, "verify-paper", "--only", "3")[1] for _ in range(2)]
     assert strip_timing(docs[0]) == strip_timing(docs[1])
     assert "s < " not in docs[0]["result"]["lines"][0]
+
+
+# -- options: flags and config keys ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        # each of these used to end in a traceback with exit 1, a negative verdict
+        (("pack", "--name", "tri", "--window", "1000", "--ideal", "density-zero",
+          "--density-threshold", "abc"), None, "ideal.threshold must be a rational number, got 'abc'"),
+        (("pack", "--name", "parity"), 'group { kind = "z-mod" }', "group kind 'z-mod' needs group.n"),
+        (("pack", "--name", "parity"), 'group { kind = "z-mod"; n = "x" }', "group.n must be an integer"),
+        (("pack", "--name", "parity", "--window", "100"), 'pack { n = "two" }', "pack.n must be an integer"),
+        (("pack", "--name", "parity", "--window", "100"), 'ideal { kind = "finite-sets"; cutoff = [1] }',
+         "ideal.cutoff must be an integer, got [1]"),
+        (("complete", "--kind", "pack-omega", "--n-range", "", "--window", "100"), None,
+         "complete.n-range names no arity"),
+        (("pack", "--name", "parity", "--window", "100", "--config", "TMP/absent.cfg"), None, "cannot read"),
+        (("pack", "--name", "parity", "--window", "100", "--catalog", "TMP/absent.cat"), None, "cannot read"),
+        # these used to be read as some other value
+        (("pack", "--name", "parity", "--shifts", "0..3"), "group { hi = 1000; margin = 1.5 }",
+         "group.margin must be an integer, got 3/2"),
+        (("pack", "--name", "parity", "--window", "100"), "pack { exact = 1 }", "pack.exact must be true or false"),
+        (("small", "--name", "tri", "--window", "1000"), "small { m = true }", "small.m must be an integer"),
+        (("pack", "--name", "tri", "--window", "1000"), 'ideal { kind = "density-zero"; threshold = "1/0" }',
+         "ideal.threshold must be a rational number"),
+        (("pack", "--name", "parity", "--window", "100"), 'output { report = ["text"] }', "output.report must be text"),
+    ],
+)
+def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, config, message):
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_window_flag_keeps_the_config_margin(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group { margin = 40 }\n")
+    argv = ["pack", "--name", "parity", "--shifts", "0..3", "--window", "0:1000", "--config", str(cfg)]
+    _, doc = run_json(capsys, *argv)
+    assert doc["params"]["group"] == {"kind": "z-window", "lo": 0, "hi": 1000, "margin": 40}
+    _, doc = run_json(capsys, *argv, "--margin", "5")
+    assert doc["params"]["group"]["margin"] == 5
+
+
+# command, then the same options as flags and as a config file
+INTERCHANGEABLE = {
+    "pack-z-mod": (
+        ["pack", "--name", "parity"],
+        ["--mod", "12", "--n", "2", "--shifts=-3..8", "--exact"],
+        'group { kind = "z-mod"; n = 12 }\npack { n = 2; shifts = "-3..8"; exact = true }',
+    ),
+    "pack-cayley": (
+        ["pack", "--set", "list{0,1}"],
+        ["--cayley", S3, "--shifts", "0..5", "--exact", "--node-budget", "1000", "--exact-cap", "16"],
+        f'group {{ kind = "cayley"; path = "{S3}" }}\n'
+        'pack { shifts = "0..5"; exact = true; node-budget = 1000; exact-cap = 16 }',
+    ),
+    "pack-free-2": (
+        ["pack", "--set", "f2start(a)"],
+        ["--depth", "5", "--translators", "e,a,b,ba", "--exact"],
+        'group { kind = "free-2"; depth = 5 }\npack { translators = "e,a,b,ba"; exact = true }',
+    ),
+    "pack-finite-sets": (
+        ["pack", "--name", "tri"],
+        ["--window", "0:10000", "--margin", "30", "--shifts", "0..30", "--ideal", "finite-sets",
+         "--cutoff", "2", "--exact"],
+        'group { kind = "z-window"; lo = 0; hi = 10000; margin = 30 }\n'
+        'ideal { kind = "finite-sets"; cutoff = 2 }\npack { shifts = "0..30"; exact = true }',
+    ),
+    "pack-density-zero": (
+        ["pack", "--name", "tri"],
+        ["--window", "0:100000", "--shifts", "0..9", "--ideal", "density-zero", "--lengths", "64,256",
+         "--density-threshold", "1/20"],
+        'group { hi = 100000 }\nideal { kind = "density-zero"; lengths = [64, 256]; threshold = 0.05 }\n'
+        'pack { shifts = "0..9" }',
+    ),
+    "pack-generated": (
+        ["pack", "--name", "tri"],
+        ["--window", "0:16000", "--shifts", "0..8", "--ideal", "generated", "--generators", "tri,powers(2)",
+         "--e-bound", "2", "--gen-shift-range", "4", "--slack", "1"],
+        'group { hi = 16000 }\npack { shifts = "0..8" }\n'
+        'ideal { kind = "generated"; generators = ["tri", "powers(2)"]; e-bound = 2; shift-range = 4; slack = 1 }',
+    ),
+    "small": (
+        ["small", "--name", "tri"],
+        ["--window", "0:100000", "--m", "2", "--s", "8", "--inner-max-f", "32", "--inner-shift-range", "128",
+         "--cap", "5000"],
+        "group { hi = 100000 }\nsmall { m = 2; s = 8; inner-max-f = 32; inner-shift-range = 128; cap = 5000 }",
+    ),
+    "large": (
+        ["large", "--name", "parity"],
+        ["--window", "0:100000", "--max-f", "8", "--shift-range", "64"],
+        "group { hi = 100000 }\nlarge { max-f = 8; shift-range = 64 }",
+    ),
+    "density": (
+        ["density", "--name", "tri"],
+        ["--window", "0:100000", "--schedule", "64,256"],
+        'group { hi = 100000 }\ndensity { schedule = "64,256" }',
+    ),
+    "folner": (
+        ["folner"],
+        ["--window", "0:100000", "--F", "{1,-3}", "--n", "5"],
+        "group { hi = 100000 }\nfolner { F = [1, -3]; n = 5 }",
+    ),
+    "measure": (
+        ["measure"],
+        ["--window", "0:1000000", "--avoid", "tri", "--F", "{1}", "--n", "10", "--eval", "parity",
+         "--bound", "100000"],
+        'group { hi = 1000000 }\nmeasure { avoid = "tri"; F = "{1}"; n = 10; eval = "parity"; bound = 100000 }',
+    ),
+    "complete-s": (
+        ["complete"],
+        ["--window", "0:31000", "--kind", "s", "--m", "1", "--s", "3", "--inner-max-f", "64",
+         "--inner-shift-range", "64", "--stages", "3"],
+        'group { hi = 31000 }\n'
+        'complete { kind = "s"; m = 1; s = 3; inner-max-f = 64; inner-shift-range = 64; stages = 3 }',
+    ),
+    "complete-pack-omega": (
+        ["complete"],
+        ["--window", "0:20000", "--kind", "pack-omega", "--n-range", "2..3", "--shifts", "0..20",
+         "--threshold", "6", "--stages", "2"],
+        'group { hi = 20000 }\n'
+        'complete { kind = "pack-omega"; n-range = "2..3"; shifts = "0..20"; threshold = 6; stages = 2 }',
+    ),
+    "f2": (
+        ["f2"],
+        ["--depth", "6", "--base", "B", "--translators", "shipped-b", "--n", "2"],
+        'f2 { depth = 6; base = "B"; translators = "shipped-b"; n = 2 }',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERCHANGEABLE))
+def test_flags_and_config_keys_are_interchangeable(tmp_path, capsys, case):
+    command, flags, config = INTERCHANGEABLE[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    flags_code, from_flags = run_json(capsys, *command, *flags)
+    config_code, from_config = run_json(capsys, *command, "--config", str(cfg))
+    assert config_code == flags_code
+    assert strip_timing(from_config) == strip_timing(from_flags)
