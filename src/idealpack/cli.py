@@ -142,6 +142,8 @@ def _load(loader, path: str):
         return loader(path)
     except OSError as exc:
         raise InvalidParam(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidParam(f"cannot read {path!r}: not a text file") from None
 
 
 def _get_catalog(args, cfg) -> Catalog:
@@ -246,7 +248,7 @@ def _small_bounds(args, cfg: RunConfig, block: str, inner_max_f: int, **extra) -
 # --------------------------------------------------------------------------
 
 
-def _cmd_pack(args, cfg):
+def _cmd_pack(args, cfg) -> tuple[dict, dict, int]:
     catalog = _get_catalog(args, cfg)
     n = _opt(args, cfg, "pack", "n", 2, int)
     translators_spec = _opt(args, cfg, "pack", "translators")
@@ -277,7 +279,7 @@ def _cmd_pack(args, cfg):
     return params, report.payload(), 0
 
 
-def _cmd_small(args, cfg):
+def _cmd_small(args, cfg) -> tuple[dict, dict, int]:
     catalog = _get_catalog(args, cfg)
     bounds = _small_bounds(args, cfg, "small", 64, cap=_opt(args, cfg, "small", "cap", 1_000_000, int))
     group = _build_group(args, cfg, bounds.reach)
@@ -287,7 +289,7 @@ def _cmd_small(args, cfg):
     return params, evidence.payload(), 0 if evidence.verdict == "small-at-scale" else 1
 
 
-def _cmd_large(args, cfg):
+def _cmd_large(args, cfg) -> tuple[dict, dict, int]:
     catalog = _get_catalog(args, cfg)
     bounds = LargeBounds(
         max_f=_opt(args, cfg, "large", "max-f", 64, int),
@@ -309,7 +311,7 @@ def _cmd_large(args, cfg):
     return params, {"large": True, **witness.payload()}, 0
 
 
-def _cmd_density(args, cfg):
+def _cmd_density(args, cfg) -> tuple[dict, dict, int]:
     catalog = _get_catalog(args, cfg)
     schedule = _opt(args, cfg, "density", "schedule", "64,256,1024", [int])
     group = _build_group(args, cfg, 0)
@@ -317,14 +319,14 @@ def _cmd_density(args, cfg):
     return {"set": label, "group": group.descriptor()}, upper_density(A, schedule).payload(), 0
 
 
-def _cmd_folner(args, cfg):
+def _cmd_folner(args, cfg) -> tuple[dict, dict, int]:
     F = _opt(args, cfg, "folner", "F", "{1}", [int])
     n = _opt(args, cfg, "folner", "n", 10, int)
     group = _build_group(args, cfg, _reach(F))
     return {"group": group.descriptor()}, folner_set(F, n, group).payload(), 0
 
 
-def _cmd_measure(args, cfg):
+def _cmd_measure(args, cfg) -> tuple[dict, dict, int]:
     catalog = _get_catalog(args, cfg)
     F = _opt(args, cfg, "measure", "F", "{1}", [int])
     n = _opt(args, cfg, "measure", "n", 10, int)
@@ -351,7 +353,7 @@ def _cmd_measure(args, cfg):
 _KIND_RE = re.compile(r"^pack(\d+)$")
 
 
-def _cmd_complete(args, cfg):
+def _cmd_complete(args, cfg) -> tuple[dict, dict, int]:
     catalog = _get_catalog(args, cfg)
     kind_text = _opt(args, cfg, "complete", "kind", "pack2")
     stages = _opt(args, cfg, "complete", "stages", 5, int)
@@ -380,7 +382,7 @@ def _cmd_complete(args, cfg):
     return {"kind": kind_text, "group": group.descriptor()}, trace.payload(), 0
 
 
-def _cmd_f2(args, cfg):
+def _cmd_f2(args, cfg) -> tuple[dict, dict, int]:
     depth = _opt(args, cfg, "f2", "depth", 12, int)
     base_label = _opt(args, cfg, "f2", "base", "A")
     if base_label not in ("A", "B"):
@@ -394,7 +396,7 @@ def _cmd_f2(args, cfg):
     return params, report.payload(), 0 if report.disjoint else 1
 
 
-def _cmd_verify(args, cfg):
+def _cmd_verify(args, cfg) -> tuple[dict, dict, int]:
     results = run_all(only=args.only)
     if not results:
         raise InvalidParam(f"no criterion numbered {args.only}")

@@ -302,6 +302,8 @@ def test_verify_paper_json_repeats_once_stripped(capsys):
          "complete.n-range names no arity"),
         (("pack", "--name", "parity", "--window", "100", "--config", "TMP/absent.cfg"), None, "cannot read"),
         (("pack", "--name", "parity", "--window", "100", "--catalog", "TMP/absent.cat"), None, "cannot read"),
+        (("pack", "--name", "parity", "--window", "100", "--cayley", "TMP"), None, "cannot read"),
+        (("pack", "--name", "parity", "--window", "100"), "\udcff\udcfe", "not a text file"),
         # these used to be read as some other value
         (("pack", "--name", "parity", "--shifts", "0..3"), "group { hi = 1000; margin = 1.5 }",
          "group.margin must be an integer, got 3/2"),
@@ -315,7 +317,7 @@ def test_verify_paper_json_repeats_once_stripped(capsys):
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, config, message):
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     if config is not None:
-        (tmp_path / "run.cfg").write_text(config + "\n")
+        (tmp_path / "run.cfg").write_text(config + "\n", errors="surrogateescape")
         argv += ["--config", str(tmp_path / "run.cfg")]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
