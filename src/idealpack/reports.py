@@ -50,19 +50,9 @@ def strip_timing(value: Any) -> Any:
     return value
 
 
-def envelope(
-    command: str,
-    params: dict,
-    result: dict,
-    notes: Optional[list] = None,
-    elapsed_ms: Optional[int] = None,
-) -> dict:
-    out = {"command": command, "params": scrub(params), "result": scrub(result)}
-    if notes:
-        out["notes"] = list(notes)
-    if elapsed_ms is not None:
-        out["elapsed_ms"] = elapsed_ms
-    return out
+def envelope(command: str, params: dict, result: dict, elapsed_ms: int) -> dict:
+    """One command's report: its name, parameters, result and run time."""
+    return {"command": command, "params": scrub(params), "result": scrub(result), "elapsed_ms": elapsed_ms}
 
 
 def render_json(payload: dict) -> str:
