@@ -300,6 +300,8 @@ def test_verify_paper_json_repeats_once_stripped(capsys):
          "ideal.cutoff must be an integer, got [1]"),
         (("complete", "--kind", "pack-omega", "--n-range", "", "--window", "100"), None,
          "complete.n-range names no arity"),
+        (("pack", "--name", "tri", "--window", "1000"), 'ideal { kind = "density-zero"; threshold = "1/0" }',
+         "ideal.threshold must be a rational number"),
         (("pack", "--name", "parity", "--window", "100", "--config", "TMP/absent.cfg"), None, "cannot read"),
         (("pack", "--name", "parity", "--window", "100", "--catalog", "TMP/absent.cat"), None, "cannot read"),
         (("pack", "--name", "parity", "--window", "100", "--cayley", "TMP"), None, "cannot read"),
@@ -309,8 +311,6 @@ def test_verify_paper_json_repeats_once_stripped(capsys):
          "group.margin must be an integer, got 3/2"),
         (("pack", "--name", "parity", "--window", "100"), "pack { exact = 1 }", "pack.exact must be true or false"),
         (("small", "--name", "tri", "--window", "1000"), "small { m = true }", "small.m must be an integer"),
-        (("pack", "--name", "tri", "--window", "1000"), 'ideal { kind = "density-zero"; threshold = "1/0" }',
-         "ideal.threshold must be a rational number"),
         (("pack", "--name", "parity", "--window", "100"), 'output { report = ["text"] }', "output.report must be text"),
     ],
 )
