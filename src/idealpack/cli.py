@@ -96,6 +96,9 @@ def _parse_window(text: str) -> tuple[int, int]:
 # options: one lookup, one converter
 # --------------------------------------------------------------------------
 
+# the report formats, as ``--report`` and ``output.report`` name them
+_REPORTS = ("json", "text")
+
 _WANTED = {int: "an integer", Fraction: "a rational number", str: "text", bool: "true or false"}
 
 
@@ -430,7 +433,7 @@ _HANDLERS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (brace-block format)")
-    common.add_argument("--report", choices=("json", "text"), help="output format")
+    common.add_argument("--report", choices=_REPORTS, help="output format")
     common.add_argument("--catalog", help="catalog file of named sets")
     common.add_argument("--window", help="Z window: N for [0,N] or LO:HI")
     common.add_argument("--margin", type=int, help="window shift margin (default: auto)")
@@ -529,6 +532,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _load(load_config, args.config) if args.config else RunConfig()
         report = _opt(args, cfg, "output", "report", "json")
+        if report not in _REPORTS:
+            raise InvalidParam(f"output.report must be one of {', '.join(_REPORTS)}, got {report!r}")
         params, result, code = _HANDLERS[args.command](args, cfg)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

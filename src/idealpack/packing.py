@@ -33,11 +33,29 @@ with candidate-index tie-break, the DFS explores include-before-exclude,
 prunes a node when the open candidates cannot lift it above the incumbent,
 and replaces incumbents only by strictly larger families — reports never
 depend on timing.
+
+The counting cap: under the trivial ideal on Z_N and Cayley tables, where
+translation is exact, the translates of a pair family are disjoint, so a
+family drawn from candidates C holds at most floor(|C·A| / |A|) of them.
+There the pair search splits the conflict graph into its connected
+components, searches each in the order above with its own cap, and closes a
+component once its incumbent reaches the cap; a flag "exact" may rest on
+that cap instead of on an exhausted search.  A component starts from the
+greedy seed restricted to it, or from the search's first descent where that
+is larger.  A greedy along a depth-first walk of the component replaces
+that start only when the walk reaches the cap (on a cycle, such as the
+conflicts of {0, a} on Z_N, it always does); the family then closes at no
+node and may differ from the one a search over the whole graph reports.
+Every other family is the one that search reports, once it closes.  The
+components share the node budget in rounds of 1, 2, 4, ... nodes each.  Z
+windows, the free group, n >= 3 and the other ideals have no cap: their
+graph is one component, searched node for node as before.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -140,6 +158,8 @@ class ConflictOracle:
                 differences = min(max(self.cands, default=0), size - 1) + 1
         # translate cache for the general path, if it fits
         self._tcache: Optional[dict] = None
+        # whether ``pair_cap`` holds: set once the positions are known
+        self.caps_pairs = False
         if self._mode == "general":
             est = (size // 8 + 1) * len(self.cands)
             if est <= _CACHE_BYTE_LIMIT:
@@ -157,6 +177,18 @@ class ConflictOracle:
         # packed bits (bit j of byte j >> 3): m bits a row, one byte read a
         # lookup
         self._row_cache: dict[int, bytes] = {}
+        self.caps_pairs = self.group.translation_is_exact and self._positions.size > 0
+
+    def pair_cap(self, members: Sequence[int]) -> int:
+        """The counting cap on a pair family drawn from ``members``
+        (candidate indices): floor(|C·A| / |A|), C the members' elements.
+
+        Under the trivial ideal on an exact carrier two candidates conflict
+        exactly when their translates meet, so the translates of a family
+        are disjoint and lie in C·A.  Only where ``caps_pairs`` holds."""
+        cover = np.zeros(self.group.size, dtype=bool)
+        cover[self.group.translate_index(self._index[list(members)], self._positions)] = True
+        return int(np.count_nonzero(cover)) // self._positions.size
 
     # -- helpers -----------------------------------------------------------
     def _decide(self, ds: np.ndarray) -> None:
@@ -185,23 +217,20 @@ class ConflictOracle:
             vals = self._witness[ds]
         return vals
 
-    def _pair_rows_block(self, lo: int, hi: int) -> np.ndarray:
-        """Bool block: entry [i - lo, j] says whether candidates i and j
-        conflict, as ``is_edge`` decides it, for lo <= i < hi."""
-        rows = np.arange(lo, hi)
+    def _pair_rows_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Bool block: entry [r, c] says whether candidates ``rows[r]`` and
+        ``cols[c]`` conflict, as ``is_edge`` decides it."""
         if self.group.translation_is_exact:
             # the witness for d⁻¹ exists exactly when the one for d does, so
             # either order of a pair reads the same
-            ds = self.group.differences(self._index[lo:hi], self._index)
+            ds = self.group.differences(self._index[rows], self._index[cols])
             top = self.group.size - 1
         else:
-            cands = self._index
-            c = cands[lo:hi, None]
-            ds = np.minimum(np.abs(cands - c), self._witness.size - 1)
-            top = (self.group.size - 1) - np.maximum(cands, c)
-        block = self._witnesses(ds) <= top
-        block[rows - lo, rows] = False
-        return block
+            b = self._index[cols]
+            c = self._index[rows][:, None]
+            ds = np.minimum(np.abs(b - c), self._witness.size - 1)
+            top = (self.group.size - 1) - np.maximum(b, c)
+        return (self._witnesses(ds) <= top) & (rows[:, None] != cols)
 
     def _row_step(self) -> int:
         """Conflict rows per block: ``bitops.CHUNK_ITEMS`` entries."""
@@ -225,8 +254,9 @@ class ConflictOracle:
             row = self._row_cache.get(i)
             if row is None:
                 # the block of rows around i that ``pair_rows`` builds at once
+                m = len(self.cands)
                 lo = i - i % self._row_step()
-                block = self._pair_rows_block(lo, min(lo + self._row_step(), len(self.cands)))
+                block = self._pair_rows_block(np.arange(lo, min(lo + self._row_step(), m)), np.arange(m))
                 for k, packed in enumerate(np.packbits(block, axis=1, bitorder="little"), lo):
                     self._row_cache[k] = packed.tobytes()
                 row = self._row_cache[i]
@@ -259,18 +289,23 @@ class ConflictOracle:
                     if self.is_edge((i, j)):
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
-        else:
-            self.edges_evaluated += m * (m - 1) // 2
-            adj = []
-            step = self._row_step()
-            for lo in range(0, m, step):
-                block = self._pair_rows_block(lo, min(lo + step, m))
-                adj.extend(bitops.bits_from_array(row) for row in block)
-        deg = [a.bit_count() for a in adj]
-        order = sorted(range(m), key=lambda i: (-deg[i], i))
-        perm = np.array(order, dtype=np.intp)
-        rows = [bitops.bits_from_array(bitops.bit_array(adj[i], m)[perm]) for i in order]
-        return order, rows
+            deg = [a.bit_count() for a in adj]
+            order = sorted(range(m), key=lambda i: (-deg[i], i))
+            perm = np.array(order, dtype=np.intp)
+            return order, [bitops.bits_from_array(bitops.bit_array(adj[i], m)[perm]) for i in order]
+        self.edges_evaluated += m * (m - 1) // 2
+        step = self._row_step()
+        every = np.arange(m)
+        # degrees first, then the rows again with rows and columns permuted
+        # (the second pass reads the witnesses the first one decided)
+        deg = np.concatenate([self._pair_rows_block(every[lo : lo + step], every).sum(axis=1)
+                              for lo in range(0, m, step)] or [every])
+        perm = np.lexsort((every, -deg))
+        rows: list[int] = []
+        for lo in range(0, m, step):
+            block = np.packbits(self._pair_rows_block(perm[lo : lo + step], perm), axis=1, bitorder="little")
+            rows.extend(int.from_bytes(row.tobytes(), "little") for row in block)
+        return perm.tolist(), rows
 
 
 def _member_shortcut(
@@ -371,11 +406,23 @@ def _exact_pairs(
 ) -> tuple[list[int], bool, int]:
     """Max independent set in the conflict graph (n=2) by bitmask B&B.
 
-    Depth-first, include before exclude, on an explicit stack: ``cur`` holds
-    the positions (in search order) taken on the way down, ``rem`` the
-    positions still open below them, and ``stack`` what each level has left
-    to try once the branch under it closes.  ``timing``, when given, gets
-    ``rows_ms`` and ``search_ms``.
+    Where ``oracle.caps_pairs`` holds, each connected component of the graph
+    (``_components``) is searched on its own and closes once its family
+    reaches its counting cap (``ConflictOracle.pair_cap``); elsewhere the
+    whole graph is one uncapped component.  A component starts from the
+    greedy seed in candidate order restricted to it, from the family of the
+    search's first descent (``_first_descent``) where that is larger, or from
+    ``_walk_family`` where only that reaches the cap.  The searches share
+    ``node_budget`` (``_share``).
+
+    A search over the whole graph keeps the greedy seed only when no
+    component beats its part of it, and otherwise reports the first maximum
+    family of its order in every component.  So once one component beats its
+    seed, every other one takes its first family of the seed's size: the
+    first descent if that is as large, else the first one a search capped at
+    that size meets.  ``timing``, when given, gets ``rows_ms``,
+    ``search_ms``, ``components`` and ``capped`` (the components whose
+    family reached the cap).
     """
     t0 = time.perf_counter()
     order, padj = oracle.pair_rows()
@@ -385,45 +432,176 @@ def _exact_pairs(
         pos_of[i] = p
 
     # greedy seed in original candidate order, as the incumbent
-    seed: list[int] = []
     seed_mask_p = 0
     for i in range(m):
         p = pos_of[i]
         if not (padj[p] & seed_mask_p):
-            seed.append(i)
             seed_mask_p |= 1 << p
 
-    best = [pos_of[i] for i in seed]
-    nbest = len(best)
     full = bitops.mask(m)
     keep = [full ^ row for row in padj]  # the positions each choice leaves open
-    nodes = 0
-    budget_hit = False
-    cur: list[int] = []
-    stack: list[int] = []
-    rem = full
-    while True:
-        if len(cur) + rem.bit_count() <= nbest:
-            if not stack:
-                break
-            rem = stack.pop()
-            cur.pop()
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            budget_hit = True
-            break
-        low = rem & -rem
-        p = low.bit_length() - 1
-        rem ^= low
-        stack.append(rem)
-        cur.append(p)
-        if len(cur) > nbest:
-            best = list(cur)
-            nbest = len(best)
-        rem &= keep[p]
+    comps = _components(padj, full) if oracle.caps_pairs else [full]
+    seeds = [(seed_mask_p & comp).bit_count() for comp in comps]
+    firsts = [_first_descent(keep, comp) for comp in comps] if oracle.caps_pairs else []
+    caps: list[float] = []
+    searches: list[_Branch] = []
+    for k, comp in enumerate(comps):
+        start = seed_mask_p & comp
+        cap = math.inf
+        if oracle.caps_pairs:
+            if firsts[k].bit_count() > seeds[k]:
+                start = firsts[k]
+            cap = 1 if comp & (comp - 1) == 0 else oracle.pair_cap([order[p] for p in bitops.iter_bits(comp)])
+            if start.bit_count() < cap:
+                walk = _walk_family(padj, comp)
+                if walk.bit_count() >= cap:
+                    start = walk
+        best = list(bitops.iter_bits(start))
+        searches.append(_Branch(keep, comp, best, len(best), cap))
+        caps.append(cap)
+    nodes, budget_hit = _share(searches, 0, node_budget)
+    if not budget_hit and any(len(s.best) > size for s, size in zip(searches, seeds)):
+        again = []
+        for k, comp in enumerate(comps):
+            size = len(searches[k].best)
+            if size > seeds[k]:
+                continue
+            if firsts[k].bit_count() == size:
+                searches[k].best = list(bitops.iter_bits(firsts[k]))
+            else:
+                searches[k] = _Branch(keep, comp, searches[k].best, size - 1, size)
+                again.append(searches[k])
+        nodes, budget_hit = _share(again, nodes, node_budget)
     _lap(timing, "search_ms", t0)
-    return sorted(order[p] for p in best), budget_hit, nodes
+    if timing is not None:
+        timing["components"] = len(comps)
+        timing["capped"] = sum(len(s.best) >= cap for s, cap in zip(searches, caps))
+    return sorted(order[p] for s in searches for p in s.best), budget_hit, nodes
+
+
+class _Branch:
+    """Branch and bound over the positions in ``rem``, resumable.
+
+    Depth-first, include before exclude, on an explicit stack: ``cur`` holds
+    the positions (in search order) taken on the way down, ``rem`` the
+    positions still open below them, and ``stack`` what each level has left
+    to try once the branch under it closes.  A family replaces ``best`` when
+    it is larger than ``nbest``; the search closes once one reaches ``cap``
+    or no branch is left.
+    """
+
+    def __init__(self, keep: list[int], rem: int, best: list[int], nbest: int, cap: float):
+        self.keep = keep
+        self.rem = rem
+        self.best = best
+        self.nbest = nbest
+        self.cap = cap
+        self.cur: list[int] = []
+        self.stack: list[int] = []
+        self.closed = nbest >= cap
+
+    def run(self, allowance: float) -> int:
+        """Search on for at most ``allowance`` nodes; the nodes it took.
+        ``closed`` tells whether the search is over."""
+        if self.closed:
+            return 0
+        keep, cur, stack, rem, nbest = self.keep, self.cur, self.stack, self.rem, self.nbest
+        spent = 0
+        while True:
+            if len(cur) + rem.bit_count() <= nbest:
+                if not stack:
+                    self.closed = True
+                    break
+                rem = stack.pop()
+                cur.pop()
+                continue
+            if spent >= allowance:
+                break
+            spent += 1
+            low = rem & -rem
+            p = low.bit_length() - 1
+            rem ^= low
+            stack.append(rem)
+            cur.append(p)
+            if len(cur) > nbest:
+                self.best = list(cur)
+                nbest = len(cur)
+                if nbest >= self.cap:
+                    self.closed = True
+                    break
+            rem &= keep[p]
+        self.rem, self.nbest = rem, nbest
+        return spent
+
+
+def _share(searches: list[_Branch], nodes: int, node_budget: float) -> tuple[int, bool]:
+    """Run ``searches`` to their close on one node budget, ``nodes`` of it
+    spent already: in rounds, each open search gets 1, 2, 4, ... nodes, so
+    that no search waits on another to close.  The node past the budget is
+    counted, as the budget's one hit.  Returns the nodes and whether the
+    budget ran out."""
+    allowance = 1
+    while True:
+        open_ = [s for s in searches if not s.closed]
+        if not open_:
+            return nodes, False
+        for s in open_:
+            nodes += s.run(min(allowance, node_budget - nodes))
+            if not s.closed and nodes >= node_budget:
+                return nodes + 1, True
+        allowance *= 2
+
+
+def _components(rows: list[int], full: int) -> list[int]:
+    """The connected components of the graph ``rows`` as position masks, in
+    order of their lowest position, by a bitset flood."""
+    comps = []
+    left = full
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for p in bitops.iter_bits(frontier):
+                reach |= rows[p]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left ^= comp
+    return comps
+
+
+def _first_descent(keep: list[int], comp: int) -> int:
+    """The family the search's first descent through ``comp`` takes: each
+    lowest open position in turn.  It is the greatest independent set in
+    the search's order, so it is the first maximum family whenever it is
+    maximum."""
+    taken = 0
+    while comp:
+        low = comp & -comp
+        taken |= low
+        comp = (comp ^ low) & keep[low.bit_length() - 1]
+    return taken
+
+
+def _walk_family(rows: list[int], comp: int) -> int:
+    """Greedy family along a depth-first walk of the component ``comp``
+    from its lowest position, lowest unvisited neighbour first, on an
+    explicit stack.  On a cycle it takes every other position."""
+    start = comp & -comp
+    seen = taken = start
+    stack = [start.bit_length() - 1]
+    while stack:
+        fresh = rows[stack[-1]] & ~seen
+        if not fresh:
+            stack.pop()
+            continue
+        low = fresh & -fresh
+        seen |= low
+        p = low.bit_length() - 1
+        if not rows[p] & taken:
+            taken |= low
+        stack.append(p)
+    return taken
 
 
 def _exact_hyper(

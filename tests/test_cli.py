@@ -312,6 +312,9 @@ def test_verify_paper_json_repeats_once_stripped(capsys):
         (("pack", "--name", "parity", "--window", "100"), "pack { exact = 1 }", "pack.exact must be true or false"),
         (("small", "--name", "tri", "--window", "1000"), "small { m = true }", "small.m must be an integer"),
         (("pack", "--name", "parity", "--window", "100"), 'output { report = ["text"] }', "output.report must be text"),
+        # a format the flag's choices refuse was rendered as JSON with exit 0
+        (("pack", "--name", "parity", "--window", "100"), 'output { report = "txt" }',
+         "output.report must be one of json, text, got 'txt'"),
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, config, message):

@@ -14,9 +14,11 @@ from idealpack.groups import CayleyGroup, FreeGroup2, MaterializedSet, Window, Z
 from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.packing import (
     ConflictOracle,
+    _components,
     _exact_hyper,
     _exact_pairs,
     _greedy_indices,
+    _walk_family,
     pack_exact,
     pack_greedy,
 )
@@ -170,12 +172,23 @@ def test_greedy_pair_rows_cached_as_packed_bits():
 def test_packing_report_timing_is_stripped():
     g = CayleyGroup(*symmetric_table(4))
     A = g.set_of([0, 3, 7])
-    for report in (pack_exact(A, TrivialIdeal(), list(range(24)), 2), pack_greedy(A, TrivialIdeal(), list(range(24)), 2),
-                   pack_exact(A, TrivialIdeal(), list(range(8)), 3)):
+    # the pair search also counts its components and those its cap closed
+    pair_keys = {"rows_ms", "search_ms", "components", "capped"}
+    for report, keys in ((pack_exact(A, TrivialIdeal(), list(range(24)), 2), pair_keys),
+                         (pack_greedy(A, TrivialIdeal(), list(range(24)), 2), {"rows_ms", "search_ms"}),
+                         (pack_exact(A, TrivialIdeal(), list(range(8)), 3), {"rows_ms", "search_ms"})):
         payload = report.payload()
-        assert set(payload["timing"]) == {"rows_ms", "search_ms"}
+        assert set(payload["timing"]) == keys
         assert all(v >= 0 for v in payload["timing"].values())
         assert "timing" not in strip_timing(payload)
+    # {0, 3} on Z_12: three 4-cycles of conflicts, each closed at its cap 2
+    r = pack_exact(ZModGroup(12).set_of([0, 3]), TrivialIdeal(), list(range(12)), 2)
+    assert (r.value, r.flag, r.stats["nodes"]) == (6, "exact", 0)
+    assert (r.timing["components"], r.timing["capped"]) == (3, 3)
+    # a window has no cap: one component, searched whole
+    w = ZWindowGroup(Window(0, 99, margin=8))
+    timing = pack_exact(w.set_of([0, 1]), TrivialIdeal(), list(range(9)), 2).timing
+    assert (timing["components"], timing["capped"]) == (1, 0)
 
 
 def _zwindow_case(data):
@@ -352,7 +365,9 @@ def _recursive_exact_hyper(oracle, m, n, node_budget):
 _BUDGETS = [0, 1, 3, 100, math.inf]
 
 
-@pytest.mark.parametrize("kind", sorted(_PAIR_CASES))
+# node for node where no counting cap applies; the capped carriers are held
+# to the recursive form's value and flag below
+@pytest.mark.parametrize("kind", ["general", "z-window-pairs"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_pair_search_matches_recursive_form(kind, data):
@@ -363,6 +378,114 @@ def test_pair_search_matches_recursive_form(kind, data):
         got = _exact_pairs(new, m, budget)
         want = _recursive_exact_pairs(old, m, budget)
         assert (got, new.edges_evaluated) == (want, old.edges_evaluated)
+
+
+# -- the counting cap and conflict components on exact carriers -------------------
+
+_CAPPED_CARRIERS = (
+    [ZModGroup(n) for n in range(1, 41)]
+    + [CayleyGroup(*symmetric_table(k)) for k in (3, 4)]
+    + [CayleyGroup(*dihedral_table(k)) for k in range(5, 12)]
+)
+
+
+def _capped_case(data, carriers):
+    group = data.draw(st.sampled_from(carriers), label="group")
+    A = group.set_of(data.draw(st.sets(st.integers(0, group.size - 1), min_size=1, max_size=6), label="A"))
+    whole = list(range(group.size))
+    cands = data.draw(st.one_of(st.just(whole), st.permutations(whole)), label="order")
+    return A, cands[: data.draw(st.integers(0, group.size), label="count")]
+
+
+def _component_masks(family, order, comp):
+    """The family's positions inside the component ``comp``."""
+    pos_of = {i: p for p, i in enumerate(order)}
+    return sum(1 << pos_of[i] for i in family) & comp
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_capped_pair_search_matches_recursive_form(data):
+    A, cands = _capped_case(data, _CAPPED_CARRIERS)
+    m = len(cands)
+    new, old = ConflictOracle(A, TrivialIdeal(), cands, 2), ConflictOracle(A, TrivialIdeal(), cands, 2)
+    assert new.caps_pairs
+    family, hit, _ = _exact_pairs(new, m, math.inf)
+    want, want_hit, _ = _recursive_exact_pairs(old, m, math.inf)
+    assert (len(family), hit) == (len(want), want_hit) == (len(want), False)
+    # the families agree on every component but one the walk seed closed at
+    # its cap
+    order, rows = new.pair_rows()
+    for comp in _components(rows, bitops.mask(m)):
+        got, ref = _component_masks(family, order, comp), _component_masks(want, order, comp)
+        if got != ref:
+            assert got == _walk_family(rows, comp)
+            assert got.bit_count() == new.pair_cap([order[p] for p in bitops.iter_bits(comp)])
+
+
+@pytest.mark.parametrize("kind", ["cayley", "element-pairs"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_capped_pair_search_keeps_its_budget(kind, data):
+    A, ideal, cands = _PAIR_CASES[kind](data)
+    m = len(cands)
+    seed = _greedy_indices(ConflictOracle(A, ideal, cands, 2), m, 2)
+    for budget in (0, 1, 3, 100):
+        oracle = ConflictOracle(A, ideal, cands, 2)
+        family, hit, nodes = _exact_pairs(oracle, m, budget)
+        assert hit == (nodes > budget) and nodes <= budget + 1
+        assert len(family) >= len(seed)
+        assert not any(oracle.is_edge(pair) for pair in itertools.combinations(family, 2))
+
+
+def test_two_element_sets_on_z_mod_meet_the_closed_form():
+    # {0, a} on Z_N: the conflicts are gcd(N, a) cycles of L = N / gcd(N, a)
+    # candidates, each holding floor(L / 2).  {0, N - a} has the same
+    # differences ±a, so the same conflict rows, caps and search: a runs to
+    # N / 2 only
+    for N in range(2, 201):
+        g = ZModGroup(N)
+        for a in range(1, N // 2 + 1):
+            r = pack_exact(g.set_of([0, a]), TrivialIdeal(), list(range(N)), 2)
+            d = math.gcd(N, a)
+            assert (r.value, r.flag) == (d * (N // d // 2), "exact"), (N, a)
+
+
+def test_components_share_the_node_budget():
+    # two or more components whose caps lie above their optimum: searched one
+    # after another, the first spent the whole budget and the rest kept their
+    # seeds, one below what a search over the whole graph reaches
+    for N, elems, budget, reached in ((34, [19, 21, 33], 100, 8), (62, [9, 11, 47, 57], 100, 10),
+                                      (66, [20, 28, 44, 50, 54, 60], 100, 8), (96, [10, 18, 74, 84, 88], 1000, 13),
+                                      (86, [17, 25, 57, 71], 100, 18)):
+        r = pack_exact(ZModGroup(N).set_of(elems), TrivialIdeal(), list(range(N)), 2, node_budget=budget)
+        assert r.flag == "lower-bound" and r.value >= reached, (N, elems)
+
+
+_SMALL_CARRIERS = (
+    [ZModGroup(n) for n in range(1, 13)]
+    + [CayleyGroup(*symmetric_table(3))]
+    + [CayleyGroup(*dihedral_table(k)) for k in (5, 6)]
+)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pair_cap_bounds_each_component(data):
+    A, cands = _capped_case(data, _SMALL_CARRIERS)
+    m = len(cands)
+    oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
+    order, rows = oracle.pair_rows()
+    comps = _components(rows, bitops.mask(m))
+    # the components split the positions, and no conflict leaves one
+    assert sum(comps) == bitops.mask(m)
+    for comp in comps:
+        ps = list(bitops.iter_bits(comp))
+        assert all(rows[p] & ~comp == 0 for p in ps)
+        best = next(size for size in range(len(ps), 0, -1)
+                    if any(all(not rows[p] >> q & 1 for p, q in itertools.combinations(combo, 2))
+                           for combo in itertools.combinations(ps, size)))
+        assert oracle.pair_cap([order[p] for p in ps]) >= best
 
 
 @given(
