@@ -158,7 +158,7 @@ class ConflictOracle:
                 differences = min(max(self.cands, default=0), size - 1) + 1
         # translate cache for the general path, if it fits
         self._tcache: Optional[dict] = None
-        # whether ``pair_cap`` holds: set once the positions are known
+        # whether ``pair_cap`` holds
         self.caps_pairs = False
         if self._mode == "general":
             est = (size // 8 + 1) * len(self.cands)
@@ -192,12 +192,14 @@ class ConflictOracle:
 
     # -- helpers -----------------------------------------------------------
     def _decide(self, ds: np.ndarray) -> None:
-        """Fill the witness table at the distinct undecided ``ds`` by gathers
-        through A's positions, the whole table at once when it is small."""
+        """Fill the witness table at the undecided ``ds`` by gathers through
+        A's positions, the whole table at once when it is small."""
         p = self._positions
         size = self.group.size
         if self._witness.size * p.size <= bitops.CHUNK_ITEMS:
             ds = np.arange(self._witness.size)
+        else:
+            ds = bitops.sorted_unique(ds)
         step = max(1, bitops.CHUNK_ITEMS // p.size)
         for lo in range(0, ds.size, step):
             part = ds[lo : lo + step]
@@ -213,24 +215,27 @@ class ConflictOracle:
         vals = self._witness[ds]
         unknown = ds[vals < 0]
         if unknown.size:
-            self._decide(bitops.sorted_unique(unknown))
+            self._decide(unknown)
             vals = self._witness[ds]
         return vals
 
-    def _pair_rows_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Bool block: entry [r, c] says whether candidates ``rows[r]`` and
-        ``cols[c]`` conflict, as ``is_edge`` decides it."""
+    def _pair_rows_block(self, lo: int, hi: int) -> np.ndarray:
+        """Bool block: entry [i - lo, j] says whether candidates i and j
+        conflict, as ``is_edge`` decides it, for lo <= i < hi."""
+        rows = np.arange(lo, hi)
         if self.group.translation_is_exact:
             # the witness for d⁻¹ exists exactly when the one for d does, so
             # either order of a pair reads the same
-            ds = self.group.differences(self._index[rows], self._index[cols])
+            ds = self.group.differences(self._index[lo:hi], self._index)
             top = self.group.size - 1
         else:
-            b = self._index[cols]
-            c = self._index[rows][:, None]
-            ds = np.minimum(np.abs(b - c), self._witness.size - 1)
-            top = (self.group.size - 1) - np.maximum(b, c)
-        return (self._witnesses(ds) <= top) & (rows[:, None] != cols)
+            cands = self._index
+            c = cands[lo:hi, None]
+            ds = np.minimum(np.abs(cands - c), self._witness.size - 1)
+            top = (self.group.size - 1) - np.maximum(cands, c)
+        block = self._witnesses(ds) <= top
+        block[rows - lo, rows] = False
+        return block
 
     def _row_step(self) -> int:
         """Conflict rows per block: ``bitops.CHUNK_ITEMS`` entries."""
@@ -254,9 +259,8 @@ class ConflictOracle:
             row = self._row_cache.get(i)
             if row is None:
                 # the block of rows around i that ``pair_rows`` builds at once
-                m = len(self.cands)
                 lo = i - i % self._row_step()
-                block = self._pair_rows_block(np.arange(lo, min(lo + self._row_step(), m)), np.arange(m))
+                block = self._pair_rows_block(lo, min(lo + self._row_step(), len(self.cands)))
                 for k, packed in enumerate(np.packbits(block, axis=1, bitorder="little"), lo):
                     self._row_cache[k] = packed.tobytes()
                 row = self._row_cache[i]
@@ -295,16 +299,19 @@ class ConflictOracle:
             return order, [bitops.bits_from_array(bitops.bit_array(adj[i], m)[perm]) for i in order]
         self.edges_evaluated += m * (m - 1) // 2
         step = self._row_step()
-        every = np.arange(m)
-        # degrees first, then the rows again with rows and columns permuted
-        # (the second pass reads the witnesses the first one decided)
-        deg = np.concatenate([self._pair_rows_block(every[lo : lo + step], every).sum(axis=1)
-                              for lo in range(0, m, step)] or [every])
-        perm = np.lexsort((every, -deg))
+        packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+        deg = np.empty(m, dtype=np.int64)
+        for lo in range(0, m, step):
+            block = self._pair_rows_block(lo, min(lo + step, m))
+            deg[lo : lo + step] = block.sum(axis=1)
+            packed[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
+        perm = np.lexsort((np.arange(m), -deg))
         rows: list[int] = []
         for lo in range(0, m, step):
-            block = np.packbits(self._pair_rows_block(perm[lo : lo + step], perm), axis=1, bitorder="little")
-            rows.extend(int.from_bytes(row.tobytes(), "little") for row in block)
+            # rows and columns into search order, a block of rows at a time
+            block = np.unpackbits(packed[perm[lo : lo + step]], axis=1, count=m, bitorder="little")[:, perm]
+            packed_rows = np.packbits(block, axis=1, bitorder="little")
+            rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed_rows)
         return perm.tolist(), rows
 
 
