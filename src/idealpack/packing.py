@@ -158,8 +158,6 @@ class ConflictOracle:
                 differences = min(max(self.cands, default=0), size - 1) + 1
         # translate cache for the general path, if it fits
         self._tcache: Optional[dict] = None
-        # whether ``pair_cap`` holds
-        self.caps_pairs = False
         if self._mode == "general":
             est = (size // 8 + 1) * len(self.cands)
             if est <= _CACHE_BYTE_LIMIT:
@@ -177,7 +175,12 @@ class ConflictOracle:
         # packed bits (bit j of byte j >> 3): m bits a row, one byte read a
         # lookup
         self._row_cache: dict[int, bytes] = {}
-        self.caps_pairs = self.group.translation_is_exact and self._positions.size > 0
+
+    @property
+    def caps_pairs(self) -> bool:
+        """Whether ``pair_cap`` bounds pair families: pairs decided per
+        difference on an exact carrier, with A not empty."""
+        return self._mode == "difference-pairs" and self.group.translation_is_exact and self._positions.size > 0
 
     def pair_cap(self, members: Sequence[int]) -> int:
         """The counting cap on a pair family drawn from ``members``
