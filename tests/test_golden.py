@@ -54,6 +54,17 @@ CASES = {
     "pack-f2-identity": [
         "pack", "--set", "f2start(a)", "--depth", "5", "--translators", "e,a,b,ba", "--n", "2", "--exact",
     ],
+    # the greedy scan, the general pair rows and a capped search on its budget
+    "pack-tri-greedy": ["pack", "--name", "tri", "--n", "2", "--shifts", "0..1000", "--window", "0:1000000"],
+    "pack-parity-n3-greedy": ["pack", "--name", "parity", "--n", "3", "--shifts", "0..9", "--window", "10000"],
+    "pack-parity-density": [
+        "pack", "--name", "parity", "--n", "2", "--shifts", "0..12", "--window", "0:10000",
+        "--ideal", "density-zero", "--exact",
+    ],
+    "pack-mod86-budget": [
+        "pack", "--set", "list{17,25,57,71}", "--mod", "86", "--n", "2", "--shifts", "0..85", "--exact",
+        "--node-budget", "100",
+    ],
     # usage errors (exit 2)
     "pack-f2-long-translator": [
         "pack", "--set", "compl(empty)", "--depth", "2", "--translators", "e,aaa,bbb", "--n", "2", "--exact",
