@@ -203,7 +203,9 @@ def iterate_completion(
     """Run `stages` completion stages of the given kind.
 
     kind: "pack_n" (one arity), "pack_<w" (admit on any arity in n_range),
-    or "s" (smallness).  Stops early at a fixpoint, flagging it.
+    or "s" (smallness).  Stops early at a fixpoint, flagging it.  A pack
+    threshold must be at least the largest arity: every packing value is at
+    least min(n - 1, #candidates), so a lower one would admit every set.
     """
     if stages < 1:
         raise InvalidParam(f"need at least one stage, got {stages}")
@@ -228,6 +230,10 @@ def iterate_completion(
     else:
         if candidates is None:
             raise InvalidParam("pack completion needs candidate translators")
+        if threshold < max(n_values):
+            raise InvalidParam(
+                f"threshold {threshold} is below the largest arity {max(n_values)}: every set would pass"
+            )
         params.update({"threshold": threshold, "candidates": len(candidates)})
         if kind == "pack_n":
             params["n"] = n

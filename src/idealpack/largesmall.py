@@ -393,11 +393,11 @@ def _greedy_large(
     family: list = []
     best_size: Optional[int] = None
     best_family: list = []
-    for _ in range(bounds.max_f):
+    while True:
         size = residual_bits.bit_count()
         if ideal.member(MaterializedSet(group, residual_bits)):
             return LargenessWitness(
-                family=list(family),
+                family=family,
                 residual_size=size,
                 ideal=ideal.descriptor(),
                 bounds=bounds,
@@ -405,23 +405,13 @@ def _greedy_large(
         if best_size is None or size < best_size:
             best_size, best_family = size, list(family)
         chosen = int(gains.argmax())  # the first of the largest gains
-        if gains[chosen] == 0:
+        if len(family) == bounds.max_f or gains[chosen] == 0:
             break
         family.append(group.elem_at(chosen))
         newly = alive & hits[:, chosen]
         alive ^= newly
         gains -= hits[newly].sum(axis=0)
         residual_bits &= ~bitops.bits_from_positions(rows[newly], group.size)
-    size = residual_bits.bit_count()
-    if ideal.member(MaterializedSet(group, residual_bits)):
-        return LargenessWitness(
-            family=list(family),
-            residual_size=size,
-            ideal=ideal.descriptor(),
-            bounds=bounds,
-        )
-    if best_size is None or size < best_size:
-        best_size, best_family = size, list(family)
     raise NotFoundAtScale(
         f"no cover with |F| <= {bounds.max_f}",
         best_family=best_family,

@@ -6,19 +6,20 @@ the n-uniform conflict hypergraph on the candidate translators.  Edges are
 decided on the per-evaluation exact core: the sub-window where an
 intersection of translates by exactly those shifts carries no boundary
 artifacts.  ``pack_greedy`` gives a certified lower bound; ``pack_exact``
-runs branch-and-bound seeded with the greedy family.
+runs branch-and-bound seeded with the greedy family.  Both hand their
+search to one driver, ``_pack``, which checks the query, takes the member
+shortcut below and builds the report.
 
-For n=2 the conflict graph is built in bulk (``ConflictOracle.pair_rows``).
-Under the trivial ideal, on Z_N, Cayley tables and Z windows with
-non-negative shifts, a pair conflict depends on one difference d = g^-1 h
-alone, and each difference is decided once, as the least witness u in A with
-d·u in A (mode ``difference-pairs``).  Every row is filled from those
-witnesses with numpy, already permuted into search order, as a Python-int
-bitset.  The free group, windows with a negative shift, n >= 3 and the other
-ideals decide combination by combination on translate bitsets.  Both
-searches run on an explicit stack, so their depth is bounded by the
-candidate count and not by the interpreter's recursion limit, which is left
-alone.
+For n=2 the conflict graph is built in bulk (``ConflictOracle.pair_rows``),
+a bool block of rows at a time, and one path orders, packs and permutes the
+rows into search order as Python-int bitsets.  Under the trivial ideal, on
+Z_N, Cayley tables and Z windows with non-negative shifts, a pair conflict
+depends on one difference d = g^-1 h alone, and each difference is decided
+once, as the least witness u in A with d·u in A (mode ``difference-pairs``).
+The free group, windows with a negative shift, n >= 3 and the other ideals
+decide combination by combination on translate bitsets.  Both searches run
+on an explicit stack, so their depth is bounded by the candidate count and
+not by the interpreter's recursion limit, which is left alone.
 
 Flags: "exact" (search completed), "lower-bound" (node budget hit first),
 "saturated" (the family exhausts every candidate — the finite stand-in for
@@ -49,7 +50,8 @@ node and may differ from the one a search over the whole graph reports.
 Every other family is the one that search reports, once it closes.  The
 components share the node budget in rounds of 1, 2, 4, ... nodes each.  Z
 windows, the free group, n >= 3 and the other ideals have no cap: their
-graph is one component, searched node for node as before.
+graph is one component, searched whole.  Every seed, the first descent and
+the walk is one ``_greedy`` along a sequence of positions.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -284,28 +286,25 @@ class ConflictOracle:
         ``order`` lists the candidate indices by conflict degree descending,
         index ascending; ``rows[p]`` has bit q set when candidates
         ``order[p]`` and ``order[q]`` conflict.  Every pair counts as one
-        evaluated edge.  The per-difference mode builds the rows with numpy,
-        a block of rows at a time; the general mode asks ``is_edge`` pair by
-        pair.
+        evaluated edge.  The per-difference mode builds bool blocks of rows
+        with numpy, the general mode one bool matrix by asking ``is_edge``
+        pair by pair; both then go through one ordering and permutation.
         """
         m = len(self.cands)
         if self._mode == "general":
-            adj = [0] * m
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if self.is_edge((i, j)):
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            deg = [a.bit_count() for a in adj]
-            order = sorted(range(m), key=lambda i: (-deg[i], i))
-            perm = np.array(order, dtype=np.intp)
-            return order, [bitops.bits_from_array(bitops.bit_array(adj[i], m)[perm]) for i in order]
-        self.edges_evaluated += m * (m - 1) // 2
+            edges = np.zeros((m, m), dtype=bool)
+            pairs = itertools.combinations(range(m), 2)
+            edges[np.triu_indices(m, 1)] = np.fromiter(map(self.is_edge, pairs), dtype=bool, count=m * (m - 1) // 2)
+            edges |= edges.T
+            block_of = lambda lo, hi: edges[lo:hi]
+        else:
+            self.edges_evaluated += m * (m - 1) // 2
+            block_of = self._pair_rows_block
         step = self._row_step()
         packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
         deg = np.empty(m, dtype=np.int64)
         for lo in range(0, m, step):
-            block = self._pair_rows_block(lo, min(lo + step, m))
+            block = block_of(lo, min(lo + step, m))
             deg[lo : lo + step] = block.sum(axis=1)
             packed[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
         perm = np.lexsort((np.arange(m), -deg))
@@ -318,33 +317,6 @@ class ConflictOracle:
         return perm.tolist(), rows
 
 
-def _member_shortcut(
-    A: MaterializedSet,
-    ideal: Ideal,
-    candidates: Sequence,
-    n: int,
-    expr: Optional[SetExpr],
-    t0: float,
-) -> Optional[PackingReport]:
-    if ideal.member(A, expr):
-        return PackingReport(
-            n=n,
-            ideal=ideal.descriptor(),
-            family=list(candidates),
-            value=len(candidates),
-            flag="saturated",
-            floor=min(n - 1, len(candidates)),
-            candidate_count=len(candidates),
-            stats={"edges_evaluated": 0, "nodes": 0, "elapsed_ms": _ms(t0)},
-            note="the set is a member of the ideal; every family is independent",
-        )
-    return None
-
-
-def _ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
-
-
 def _lap(timing: Optional[dict], key: str, t0: float) -> float:
     """Record the milliseconds since ``t0`` under ``key``; the time now."""
     now = time.perf_counter()
@@ -353,17 +325,68 @@ def _lap(timing: Optional[dict], key: str, t0: float) -> float:
     return now
 
 
+def _greedy(seq: Iterable[int], fits: Callable[[int, int], bool]) -> int:
+    """The greedy family along ``seq``, as a bitmask: each position joins
+    when ``fits(mask, p)`` holds for the mask taken so far."""
+    mask = 0
+    for p in seq:
+        if fits(mask, p):
+            mask |= 1 << p
+    return mask
+
+
 def _greedy_indices(oracle: ConflictOracle, m: int, n: int) -> list[int]:
+    """The greedy scan in candidate order, as a list: it asks ``is_edge``
+    only until one combination with the family so far conflicts."""
     family: list[int] = []
     for ci in range(m):
-        ok = True
         for sub in itertools.combinations(family, n - 1):
-            if oracle.is_edge(tuple(sub) + (ci,)):
-                ok = False
+            if oracle.is_edge(sub + (ci,)):
                 break
-        if ok:
+        else:
             family.append(ci)
     return family
+
+
+def _pack(
+    A: MaterializedSet,
+    ideal: Optional[Ideal],
+    candidates: Sequence,
+    n: int,
+    expr: Optional[SetExpr],
+    search: Callable[[Ideal, dict], tuple[ConflictOracle, Sequence[int], bool, dict]],
+) -> PackingReport:
+    """One packing query: its usage errors, then the member shortcut or
+    ``search(ideal, timing)``, which fills ``timing`` and returns the oracle,
+    the family (candidate indices), whether it finished and its stats; then
+    the report.  A family of every candidate is "saturated", else the flag
+    is "exact" when the search finished and "lower-bound" when not."""
+    t0 = time.perf_counter()
+    ideal = ideal if ideal is not None else TrivialIdeal()
+    if n < 2:
+        raise InvalidParam(f"packing arity must be >= 2, got {n}")
+    A.group.check_translators(candidates)
+    m = len(candidates)
+    timing = {"rows_ms": 0.0, "search_ms": 0.0}
+    member = ideal.member(A, expr)
+    if member:
+        family, finished, stats = range(m), True, {"edges_evaluated": 0, "nodes": 0}
+    else:
+        oracle, family, finished, stats = search(ideal, timing)
+        stats["edges_evaluated"] = oracle.edges_evaluated
+    stats["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
+    return PackingReport(
+        n=n,
+        ideal=ideal.descriptor(),
+        family=[candidates[i] for i in family],
+        value=len(family),
+        flag="saturated" if len(family) == m else "exact" if finished else "lower-bound",
+        floor=min(n - 1, m),
+        candidate_count=m,
+        stats=stats,
+        note="the set is a member of the ideal; every family is independent" if member else "",
+        timing=timing,
+    )
 
 
 def pack_greedy(
@@ -374,41 +397,16 @@ def pack_greedy(
     expr: Optional[SetExpr] = None,
 ) -> PackingReport:
     """Certified lower bound: scan candidates in order, keep the compatible ones."""
-    t0 = time.perf_counter()
-    ideal = ideal if ideal is not None else TrivialIdeal()
-    _validate(A, candidates, n)
-    short = _member_shortcut(A, ideal, candidates, n, expr, t0)
-    if short is not None:
-        return short
-    oracle = ConflictOracle(A, ideal, candidates, n)
-    t1 = time.perf_counter()
-    family = _greedy_indices(oracle, len(candidates), n)
-    timing = {"rows_ms": 0.0}  # the scan decides edges as it meets them
-    _lap(timing, "search_ms", t1)
-    value = len(family)
-    flag = "saturated" if value == len(candidates) else "lower-bound"
-    return PackingReport(
-        n=n,
-        ideal=ideal.descriptor(),
-        family=[candidates[i] for i in family],
-        value=value,
-        flag=flag,
-        floor=min(n - 1, len(candidates)),
-        candidate_count=len(candidates),
-        stats={
-            "edges_evaluated": oracle.edges_evaluated,
-            "nodes": 0,
-            "elapsed_ms": _ms(t0),
-        },
-        timing=timing,
-    )
 
+    def search(ideal: Ideal, timing: dict):
+        oracle = ConflictOracle(A, ideal, candidates, n)
+        t0 = time.perf_counter()
+        # the scan decides edges as it meets them, so ``rows_ms`` stays 0
+        family = _greedy_indices(oracle, len(candidates), n)
+        _lap(timing, "search_ms", t0)
+        return oracle, family, False, {"nodes": 0}
 
-def _validate(A: MaterializedSet, candidates: Sequence, n: int) -> None:
-    """The usage errors of a packing query, whichever path answers it."""
-    if n < 2:
-        raise InvalidParam(f"packing arity must be >= 2, got {n}")
-    A.group.check_translators(candidates)
+    return _pack(A, ideal, candidates, n, expr, search)
 
 
 def _exact_pairs(
@@ -421,8 +419,9 @@ def _exact_pairs(
     reaches its counting cap (``ConflictOracle.pair_cap``); elsewhere the
     whole graph is one uncapped component.  A component starts from the
     greedy seed in candidate order restricted to it, from the family of the
-    search's first descent (``_first_descent``) where that is larger, or from
-    ``_walk_family`` where only that reaches the cap.  The searches share
+    search's first descent (the greedy along its positions in search order)
+    where that is larger, or from ``_walk_family`` where only that reaches
+    the cap; all three are ``_greedy`` families.  The searches share
     ``node_budget`` (``_share``).
 
     A search over the whole graph keeps the greedy seed only when no
@@ -437,26 +436,22 @@ def _exact_pairs(
     t0 = time.perf_counter()
     order, padj = oracle.pair_rows()
     t0 = _lap(timing, "rows_ms", t0)
-    pos_of = [0] * m
-    for p, i in enumerate(order):
-        pos_of[i] = p
+    pos_of = sorted(range(m), key=order.__getitem__)  # the inverse of order: each candidate's position
 
-    # greedy seed in original candidate order, as the incumbent
-    seed_mask_p = 0
-    for i in range(m):
-        p = pos_of[i]
-        if not (padj[p] & seed_mask_p):
-            seed_mask_p |= 1 << p
+    def fits(mask: int, p: int) -> bool:
+        return not padj[p] & mask
 
+    seed = _greedy(pos_of, fits)  # in candidate order
     full = bitops.mask(m)
     keep = [full ^ row for row in padj]  # the positions each choice leaves open
     comps = _components(padj, full) if oracle.caps_pairs else [full]
-    seeds = [(seed_mask_p & comp).bit_count() for comp in comps]
-    firsts = [_first_descent(keep, comp) for comp in comps] if oracle.caps_pairs else []
+    seeds = [(seed & comp).bit_count() for comp in comps]
+    # the first descent, each lowest open position in turn: the first maximum family if maximum
+    firsts = [_greedy(bitops.iter_bits(comp), fits) for comp in comps] if oracle.caps_pairs else []
     caps: list[float] = []
     searches: list[_Branch] = []
     for k, comp in enumerate(comps):
-        start = seed_mask_p & comp
+        start = seed & comp
         cap = math.inf
         if oracle.caps_pairs:
             if firsts[k].bit_count() > seeds[k]:
@@ -580,26 +575,19 @@ def _components(rows: list[int], full: int) -> list[int]:
     return comps
 
 
-def _first_descent(keep: list[int], comp: int) -> int:
-    """The family the search's first descent through ``comp`` takes: each
-    lowest open position in turn.  It is the greatest independent set in
-    the search's order, so it is the first maximum family whenever it is
-    maximum."""
-    taken = 0
-    while comp:
-        low = comp & -comp
-        taken |= low
-        comp = (comp ^ low) & keep[low.bit_length() - 1]
-    return taken
-
-
 def _walk_family(rows: list[int], comp: int) -> int:
     """Greedy family along a depth-first walk of the component ``comp``
-    from its lowest position, lowest unvisited neighbour first, on an
-    explicit stack.  On a cycle it takes every other position."""
-    start = comp & -comp
-    seen = taken = start
-    stack = [start.bit_length() - 1]
+    (``_depth_first``).  On a cycle it takes every other position."""
+    return _greedy(_depth_first(rows, comp), lambda taken, p: not rows[p] & taken)
+
+
+def _depth_first(rows: list[int], comp: int) -> Iterator[int]:
+    """The positions of the component ``comp`` in the order a depth-first
+    walk from its lowest position meets them, lowest unvisited neighbour
+    first, on an explicit stack."""
+    seen = comp & -comp
+    stack = [seen.bit_length() - 1]
+    yield stack[0]
     while stack:
         fresh = rows[stack[-1]] & ~seen
         if not fresh:
@@ -607,11 +595,8 @@ def _walk_family(rows: list[int], comp: int) -> int:
             continue
         low = fresh & -fresh
         seen |= low
-        p = low.bit_length() - 1
-        if not rows[p] & taken:
-            taken |= low
-        stack.append(p)
-    return taken
+        stack.append(low.bit_length() - 1)
+        yield stack[-1]
 
 
 def _exact_hyper(
@@ -630,9 +615,7 @@ def _exact_hyper(
     rests: list[list[int]] = [[] for _ in range(m)]
     for combo in itertools.combinations(range(m), n):
         if oracle.is_edge(combo):
-            edge = 0
-            for i in combo:
-                edge |= 1 << i
+            edge = sum(1 << i for i in combo)
             for i in combo:
                 rests[i].append(edge ^ (1 << i))
     order = sorted(range(m), key=lambda i: (-len(rests[i]), i))
@@ -641,17 +624,8 @@ def _exact_hyper(
     def fits(family_mask: int, i: int) -> bool:
         return all(r & family_mask != r for r in rests[i])
 
-    # greedy seed in original candidate order
-    seed: list[int] = []
-    seed_mask = 0
-    for i in range(m):
-        if fits(seed_mask, i):
-            seed.append(i)
-            seed_mask |= 1 << i
-
-    best = seed
+    best = list(bitops.iter_bits(_greedy(range(m), fits)))  # in candidate order
     nodes = 0
-    budget_hit = False
     cur: list[int] = []
     cur_mask = 0
     starts: list[int] = []
@@ -665,7 +639,6 @@ def _exact_hyper(
             continue
         nodes += 1
         if nodes > node_budget:
-            budget_hit = True
             break
         i = order[p]
         p += 1
@@ -676,7 +649,7 @@ def _exact_hyper(
             if len(cur) > len(best):
                 best = list(cur)
     _lap(timing, "search_ms", t0)
-    return sorted(best), budget_hit, nodes
+    return sorted(best), nodes > node_budget, nodes
 
 
 def pack_exact(
@@ -692,44 +665,21 @@ def pack_exact(
 
     For n >= 3 the candidate count is capped (default 64) because the edge
     set alone is C(m, n); raising the cap is the caller's explicit choice.
+    A budget or cap of 0 is valid; a negative one is a usage error.
     """
-    t0 = time.perf_counter()
-    ideal = ideal if ideal is not None else TrivialIdeal()
-    _validate(A, candidates, n)
-    short = _member_shortcut(A, ideal, candidates, n, expr, t0)
-    if short is not None:
-        return short
-    m = len(candidates)
-    if n >= 3 and m > exact_cap:
-        raise BudgetExceeded(
-            f"exact search with n={n} is capped at {exact_cap} candidates (got {m})"
-        )
-    oracle = ConflictOracle(A, ideal, candidates, n)
-    timing: dict = {}
-    if n == 2:
-        family_idx, budget_hit, nodes = _exact_pairs(oracle, m, node_budget, timing)
-    else:
-        family_idx, budget_hit, nodes = _exact_hyper(oracle, m, n, node_budget, timing)
-    value = len(family_idx)
-    if value == m:
-        flag = "saturated"
-    elif budget_hit:
-        flag = "lower-bound"
-    else:
-        flag = "exact"
-    return PackingReport(
-        n=n,
-        ideal=ideal.descriptor(),
-        family=[candidates[i] for i in family_idx],
-        value=value,
-        flag=flag,
-        floor=min(n - 1, m),
-        candidate_count=m,
-        stats={
-            "edges_evaluated": oracle.edges_evaluated,
-            "nodes": nodes,
-            "elapsed_ms": _ms(t0),
-            "budget_hit": budget_hit,
-        },
-        timing=timing,
-    )
+    for name, bound in (("node_budget", node_budget), ("exact_cap", exact_cap)):
+        if bound < 0:
+            raise InvalidParam(f"exact search needs {name} >= 0, got {bound}")
+
+    def search(ideal: Ideal, timing: dict):
+        m = len(candidates)
+        if n >= 3 and m > exact_cap:
+            raise BudgetExceeded(f"exact search with n={n} is capped at {exact_cap} candidates (got {m})")
+        oracle = ConflictOracle(A, ideal, candidates, n)
+        if n == 2:
+            family, budget_hit, nodes = _exact_pairs(oracle, m, node_budget, timing)
+        else:
+            family, budget_hit, nodes = _exact_hyper(oracle, m, n, node_budget, timing)
+        return oracle, family, not budget_hit, {"nodes": nodes, "budget_hit": budget_hit}
+
+    return _pack(A, ideal, candidates, n, expr, search)

@@ -105,6 +105,14 @@ def test_large_verdict_exit_codes(capsys):
         # these used to pack the empty set with exit 0
         (("pack", "--set", "empty", "--shifts", "0,0,1", "--window", "100"), "must be distinct"),
         (("pack", "--set", "empty", "--translators", "a,b", "--window", "100"), "--translators"),
+        # these used to report lower-bound with exit 0, and exit 3
+        (("pack", "--name", "parity", "--n", "2", "--shifts", "0..9", "--window", "10000", "--exact",
+          "--node-budget", "-5"), "node_budget >= 0"),
+        (("pack", "--name", "parity", "--n", "3", "--shifts", "0..9", "--window", "10000", "--exact",
+          "--exact-cap", "-1"), "exact_cap >= 0"),
+        # this used to admit every catalog set with exit 0
+        (("complete", "--kind", "pack2", "--window", "0:2000", "--shifts", "0..16", "--threshold", "1"),
+         "threshold 1"),
     ],
 )
 def test_invalid_bounds_are_usage_errors(capsys, argv, message):

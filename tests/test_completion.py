@@ -69,6 +69,11 @@ def test_threshold_controls_admission():
 def test_threshold_must_be_feasible():
     with pytest.raises(InvalidParam):
         run_pack2(threshold=1000)  # exceeds the candidate count
+    # every value is at least n - 1, so these used to admit every set
+    with pytest.raises(InvalidParam, match="threshold 1 is below the largest arity 2"):
+        run_pack2(threshold=1)
+    with pytest.raises(InvalidParam, match="threshold 3 is below the largest arity 4"):
+        iterate_completion("pack_<w", 3, default_catalog(), G, n_range=(2, 4), candidates=SHIFTS, threshold=3)
 
 
 def test_stage_ideal_wraps_admitted_members():
