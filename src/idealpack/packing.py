@@ -7,8 +7,8 @@ decided on the per-evaluation exact core: the sub-window where an
 intersection of translates by exactly those shifts carries no boundary
 artifacts.  ``pack_greedy`` gives a certified lower bound; ``pack_exact``
 runs branch-and-bound seeded with the greedy family.  Both hand their
-search to one driver, ``_pack``, which checks the query, takes the member
-shortcut below and builds the report.
+search to ``_pack``, which checks the query, takes the member shortcut
+below and builds the one report.
 
 For n=2 the conflict graph is built in bulk (``ConflictOracle.pair_rows``),
 a bool block of rows at a time, and one path orders, packs and permutes the
