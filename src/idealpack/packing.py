@@ -412,17 +412,18 @@ def pack_greedy(
 def _exact_pairs(
     oracle: ConflictOracle, m: int, node_budget: int, timing: Optional[dict] = None
 ) -> tuple[list[int], bool, int]:
-    """Max independent set in the conflict graph (n=2) by bitmask B&B.
+    """Max independent set in the conflict graph (n=2) by bitmask B&B, on
+    the rows of ``ConflictOracle.pair_rows`` (one row path in both modes).
 
     Where ``oracle.caps_pairs`` holds, each connected component of the graph
     (``_components``) is searched on its own and closes once its family
     reaches its counting cap (``ConflictOracle.pair_cap``); elsewhere the
     whole graph is one uncapped component.  A component starts from the
     greedy seed in candidate order restricted to it, from the family of the
-    search's first descent (the greedy along its positions in search order)
-    where that is larger, or from ``_walk_family`` where only that reaches
-    the cap; all three are ``_greedy`` families.  The searches share
-    ``node_budget`` (``_share``).
+    search's first descent (the greedy along its positions in search order,
+    the first maximum family whenever it is maximum) where that is larger,
+    or from ``_walk_family`` where only that reaches the cap; all three are
+    ``_greedy`` families.  The searches share ``node_budget`` (``_share``).
 
     A search over the whole graph keeps the greedy seed only when no
     component beats its part of it, and otherwise reports the first maximum
@@ -446,7 +447,6 @@ def _exact_pairs(
     keep = [full ^ row for row in padj]  # the positions each choice leaves open
     comps = _components(padj, full) if oracle.caps_pairs else [full]
     seeds = [(seed & comp).bit_count() for comp in comps]
-    # the first descent, each lowest open position in turn: the first maximum family if maximum
     firsts = [_greedy(bitops.iter_bits(comp), fits) for comp in comps] if oracle.caps_pairs else []
     caps: list[float] = []
     searches: list[_Branch] = []
