@@ -49,9 +49,16 @@ conflicts of {0, a} on Z_N, it always does); the family then closes at no
 node and may differ from the one a search over the whole graph reports.
 Every other family is the one that search reports, once it closes.  The
 components share the node budget in rounds of 1, 2, 4, ... nodes each.  Z
-windows, the free group, n >= 3 and the other ideals have no cap: their
-graph is one component, searched whole.  Every seed, the first descent and
-the walk is one ``_greedy`` along a sequence of positions.
+windows, the free group, n >= 3 and the other ideals have no counting cap:
+their graph is one component, searched whole.  Every seed, the first descent
+and the walk is one ``_greedy`` along a sequence of positions.
+
+The banded DP cap: where no conflict spans more than 12 candidates in
+candidate order (the bandwidth; 9 for {0, 5, 9} on a window), a dynamic
+program gives each component's optimum, which caps a search whose start is
+below its cap.  The search then closes once its incumbent first reaches it,
+with the family an exhausted search reports; only the flag and ``nodes``
+change.  The walk still answers to the counting cap alone.
 """
 
 from __future__ import annotations
@@ -280,15 +287,18 @@ class ConflictOracle:
         piece = MaterializedSet(self.group, inter & core)
         return not self.ideal.member(piece)
 
-    def pair_rows(self) -> tuple[list[int], list[int]]:
-        """The n=2 conflict graph as bitset rows in search order.
+    def pair_rows(self) -> tuple[list[int], list[int], int]:
+        """The n=2 conflict graph as bitset rows in search order, and its
+        bandwidth in candidate order.
 
         ``order`` lists the candidate indices by conflict degree descending,
         index ascending; ``rows[p]`` has bit q set when candidates
-        ``order[p]`` and ``order[q]`` conflict.  Every pair counts as one
-        evaluated edge.  The per-difference mode builds bool blocks of rows
-        with numpy, the general mode one bool matrix by asking ``is_edge``
-        pair by pair; both then go through one ordering and permutation.
+        ``order[p]`` and ``order[q]`` conflict.  The bandwidth is the largest
+        |i - j| over conflicting candidates i and j (0 without conflicts).
+        Every pair counts as one evaluated edge.  The per-difference mode
+        builds bool blocks of rows with numpy, the general mode one bool
+        matrix by asking ``is_edge`` pair by pair; both then go through one
+        ordering and permutation.
         """
         m = len(self.cands)
         if self._mode == "general":
@@ -303,10 +313,14 @@ class ConflictOracle:
         step = self._row_step()
         packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
         deg = np.empty(m, dtype=np.int64)
+        width = 0
         for lo in range(0, m, step):
             block = block_of(lo, min(lo + step, m))
             deg[lo : lo + step] = block.sum(axis=1)
             packed[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
+            # each row's last conflict, right of the row or not
+            reach = (m - 1 - block[:, ::-1].argmax(axis=1)) - np.arange(lo, lo + len(block))
+            width = max(width, int(np.max(reach, where=deg[lo : lo + step] > 0, initial=0)))
         perm = np.lexsort((np.arange(m), -deg))
         rows: list[int] = []
         for lo in range(0, m, step):
@@ -314,7 +328,7 @@ class ConflictOracle:
             block = np.unpackbits(packed[perm[lo : lo + step]], axis=1, count=m, bitorder="little")[:, perm]
             packed_rows = np.packbits(block, axis=1, bitorder="little")
             rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed_rows)
-        return perm.tolist(), rows
+        return perm.tolist(), rows, width
 
 
 def _lap(timing: Optional[dict], key: str, t0: float) -> float:
@@ -418,12 +432,14 @@ def _exact_pairs(
     Where ``oracle.caps_pairs`` holds, each connected component of the graph
     (``_components``) is searched on its own and closes once its family
     reaches its counting cap (``ConflictOracle.pair_cap``); elsewhere the
-    whole graph is one uncapped component.  A component starts from the
-    greedy seed in candidate order restricted to it, from the family of the
-    search's first descent (the greedy along its positions in search order,
-    the first maximum family whenever it is maximum) where that is larger,
-    or from ``_walk_family`` where only that reaches the cap; all three are
-    ``_greedy`` families.  The searches share ``node_budget`` (``_share``).
+    whole graph is one component.  A component starts from the greedy seed
+    in candidate order restricted to it, from the family of the search's
+    first descent (the greedy along its positions in search order, the first
+    maximum family whenever it is maximum) where that is larger, or from
+    ``_walk_family`` where only that reaches the counting cap; all three are
+    ``_greedy`` families.  A start below its cap, where the bandwidth allows,
+    also gets the component's optimum as a cap (``_band_cap``).  The
+    searches share ``node_budget`` (``_share``).
 
     A search over the whole graph keeps the greedy seed only when no
     component beats its part of it, and otherwise reports the first maximum
@@ -431,11 +447,11 @@ def _exact_pairs(
     seed, every other one takes its first family of the seed's size: the
     first descent if that is as large, else the first one a search capped at
     that size meets.  ``timing``, when given, gets ``rows_ms``,
-    ``search_ms``, ``components`` and ``capped`` (the components whose
-    family reached the cap).
+    ``search_ms`` (``dp_ms`` of it in the DP), ``components``, ``capped``
+    (the components whose family reached either cap) and ``bandwidth``.
     """
     t0 = time.perf_counter()
-    order, padj = oracle.pair_rows()
+    order, padj, width = oracle.pair_rows()
     t0 = _lap(timing, "rows_ms", t0)
     pos_of = sorted(range(m), key=order.__getitem__)  # the inverse of order: each candidate's position
 
@@ -450,6 +466,7 @@ def _exact_pairs(
     firsts = [_greedy(bitops.iter_bits(comp), fits) for comp in comps] if oracle.caps_pairs else []
     caps: list[float] = []
     searches: list[_Branch] = []
+    dp_s = 0.0
     for k, comp in enumerate(comps):
         start = seed & comp
         cap = math.inf
@@ -461,6 +478,10 @@ def _exact_pairs(
                 walk = _walk_family(padj, comp)
                 if walk.bit_count() >= cap:
                     start = walk
+        if start.bit_count() < cap:
+            t1 = time.perf_counter()
+            cap = min(cap, _band_cap(padj, order, comp, width))
+            dp_s += time.perf_counter() - t1
         best = list(bitops.iter_bits(start))
         searches.append(_Branch(keep, comp, best, len(best), cap))
         caps.append(cap)
@@ -481,7 +502,49 @@ def _exact_pairs(
     if timing is not None:
         timing["components"] = len(comps)
         timing["capped"] = sum(len(s.best) >= cap for s, cap in zip(searches, caps))
+        timing["bandwidth"] = width
+        timing["dp_ms"] = round(dp_s * 1000, 3)
     return sorted(order[p] for s in searches for p in s.best), budget_hit, nodes
+
+
+_BAND_WIDTH = 12  # the widest band the DP runs on: 2^12 states
+
+
+def _band_cap(rows: list[int], order: list[int], comp: int, width: int) -> float:
+    """The optimum of the component ``comp`` by ``_band_optimum`` when the
+    bandwidth ``width`` is at most ``_BAND_WIDTH``, else inf."""
+    if width > _BAND_WIDTH:
+        return math.inf
+    members = sorted(bitops.iter_bits(comp), key=order.__getitem__)  # in candidate order
+    back = [sum(1 << k for k, q in enumerate(reversed(members[max(0, t - width) : t])) if rows[p] >> q & 1)
+            for t, p in enumerate(members)]
+    return _band_optimum(back, width)
+
+
+def _band_optimum(back: Sequence[int], w: int) -> int:
+    """The size of a maximum independent set in a graph whose t-th vertex
+    conflicts only with the vertices t - 1 - k, k < w a bit of ``back[t]``.
+
+    The path-decomposition DP (Arnborg & Proskurowski 1989): ``val[s]`` is
+    the largest set so far whose last w vertices taken are the bits of s
+    (bit 0 the latest); one vectorised step a vertex, O(2^w) time and
+    memory each, and no traceback."""
+    half = 1 << (max(w, 1) - 1)
+    states = np.arange(2 * half)
+    none = -len(back) - 1  # no set: stays below 0 through every step
+    val = np.full(2 * half, none, dtype=np.int32)
+    val[0] = 0
+    new = np.empty_like(val)
+    clash: dict[int, np.ndarray] = {}
+    for b in back:
+        if b not in clash:
+            clash[b] = (states & b) != 0
+        ok = np.where(clash[b], none, val)
+        np.maximum(val[:half], val[half:], out=new[0::2])  # vertex t left out
+        np.maximum(ok[:half], ok[half:], out=new[1::2])  # taken, where s meets no conflict
+        new[1::2] += 1
+        val, new = new, val
+    return int(val.max())
 
 
 class _Branch:

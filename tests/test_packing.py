@@ -14,6 +14,8 @@ from idealpack.groups import CayleyGroup, FreeGroup2, MaterializedSet, Window, Z
 from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
 from idealpack.packing import (
     ConflictOracle,
+    _band_cap,
+    _band_optimum,
     _components,
     _exact_hyper,
     _exact_pairs,
@@ -109,7 +111,7 @@ def test_element_pair_table_matches_literal_intersection(data):
     edge = [[i != j and _literal_pair_edge(A, ideal, cands[i], cands[j]) for j in range(m)] for i in range(m)]
     bulk = ConflictOracle(A, ideal, cands, 2)
     assert bulk._mode == "difference-pairs"
-    order, rows = bulk.pair_rows()
+    order, rows, _ = bulk.pair_rows()
     for p, i in enumerate(order):
         assert rows[p] == sum(1 << q for q, j in enumerate(order) if edge[i][j])
     single = ConflictOracle(A, ideal, cands, 2)
@@ -124,7 +126,7 @@ def test_element_pair_table_on_a_large_set():
     A = g.set_of(range(0, 1200, 2))
     cands = [3, -8, 1205, 44, 617, 2, 999, -1]
     oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
-    order, rows = oracle.pair_rows()
+    order, rows, _ = oracle.pair_rows()
     edge = [[i != j and _literal_pair_edge(A, TrivialIdeal(), g_, h) for j, h in enumerate(cands)]
             for i, g_ in enumerate(cands)]
     for p, i in enumerate(order):
@@ -142,7 +144,7 @@ def test_window_witness_table_on_a_large_set():
     cands = [1999, 3, 2000, 0, 1001, 8, 1500, 7]
     oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
     assert oracle._mode == "difference-pairs"
-    order, rows = oracle.pair_rows()
+    order, rows, _ = oracle.pair_rows()
 
     def literal(b, c):
         inter = g.translate_bits(b, A.bits)[0] & g.translate_bits(c, A.bits)[0]
@@ -172,8 +174,9 @@ def test_greedy_pair_rows_cached_as_packed_bits():
 def test_packing_report_timing_is_stripped():
     g = CayleyGroup(*symmetric_table(4))
     A = g.set_of([0, 3, 7])
-    # the pair search also counts its components and those its cap closed
-    pair_keys = {"rows_ms", "search_ms", "components", "capped"}
+    # the pair search also counts its components and those a cap closed, and
+    # gives the graph's bandwidth and the banded DP's milliseconds
+    pair_keys = {"rows_ms", "search_ms", "components", "capped", "bandwidth", "dp_ms"}
     for report, keys in ((pack_exact(A, TrivialIdeal(), list(range(24)), 2), pair_keys),
                          (pack_greedy(A, TrivialIdeal(), list(range(24)), 2), {"rows_ms", "search_ms"}),
                          (pack_exact(A, TrivialIdeal(), list(range(8)), 3), {"rows_ms", "search_ms"})):
@@ -185,10 +188,14 @@ def test_packing_report_timing_is_stripped():
     r = pack_exact(ZModGroup(12).set_of([0, 3]), TrivialIdeal(), list(range(12)), 2)
     assert (r.value, r.flag, r.stats["nodes"]) == (6, "exact", 0)
     assert (r.timing["components"], r.timing["capped"]) == (3, 3)
-    # a window has no cap: one component, searched whole
-    w = ZWindowGroup(Window(0, 99, margin=8))
-    timing = pack_exact(w.set_of([0, 1]), TrivialIdeal(), list(range(9)), 2).timing
-    assert (timing["components"], timing["capped"]) == (1, 0)
+    # a window has no counting cap: one component, searched whole, closed by
+    # the banded DP where its bandwidth is at most 12 ({0, 1}: a path)
+    w = ZWindowGroup(Window(0, 99, margin=20))
+    r = pack_exact(w.set_of([0, 1]), TrivialIdeal(), list(range(9)), 2)
+    assert (r.value, r.flag, r.stats["nodes"]) == (5, "exact", 0)
+    assert (r.timing["components"], r.timing["capped"], r.timing["bandwidth"]) == (1, 1, 1)
+    timing = pack_exact(w.set_of([0, 13]), TrivialIdeal(), list(range(21)), 2).timing
+    assert (timing["components"], timing["capped"], timing["bandwidth"]) == (1, 0, 13)
 
 
 def _zwindow_case(data):
@@ -240,13 +247,14 @@ def test_pair_rows_match_is_edge(kind, data):
     bulk = ConflictOracle(A, ideal, cands, 2)
     # Z windows, Z_N and Cayley tables share the per-difference mode
     assert bulk._mode == ("general" if kind == "general" else "difference-pairs")
-    order, rows = bulk.pair_rows()
+    order, rows, width = bulk.pair_rows()
     ref = ConflictOracle(A, ideal, cands, 2)
     adj = [[False] * m for _ in range(m)]
     for i, j in itertools.combinations(range(m), 2):
         adj[i][j] = adj[j][i] = ref.is_edge((i, j))
     deg = [sum(r) for r in adj]
     assert order == sorted(range(m), key=lambda i: (-deg[i], i))
+    assert width == max((j - i for i, j in itertools.combinations(range(m), 2) if adj[i][j]), default=0)
     for p, i in enumerate(order):
         assert rows[p] == sum(1 << q for q, j in enumerate(order) if adj[i][j])
     assert bulk.edges_evaluated == ref.edges_evaluated
@@ -255,9 +263,10 @@ def test_pair_rows_match_is_edge(kind, data):
 # -- the searches vs frozen copies of their recursive form ----------------------
 
 
-def _recursive_exact_pairs(oracle, m, node_budget):
+def _recursive_exact_pairs(oracle, m, node_budget, cap=math.inf):
     """The pair search as it was before the explicit stack (its recursion
-    limit guard dropped: these inputs stay far below the default limit)."""
+    limit guard dropped: these inputs stay far below the default limit),
+    closed once its family reaches ``cap``."""
     adj = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
@@ -291,7 +300,7 @@ def _recursive_exact_pairs(oracle, m, node_budget):
     def expand(cur, rem):
         nonlocal best, nodes, budget_hit
         while rem:
-            if budget_hit:
+            if budget_hit or len(best) >= cap:
                 return
             if len(cur) + rem.bit_count() <= len(best):
                 return
@@ -366,17 +375,21 @@ _BUDGETS = [0, 1, 3, 100, math.inf]
 
 
 # node for node where no counting cap applies; the capped carriers are held
-# to the recursive form's value and flag below
+# to the recursive form's value and flag below.  Where the bandwidth is
+# narrow enough, the recursive form closes at the banded DP's value, which
+# the DP tests below hold to the uncapped optimum
 @pytest.mark.parametrize("kind", ["general", "z-window-pairs"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_pair_search_matches_recursive_form(kind, data):
     A, ideal, cands = _PAIR_CASES[kind](data)
     m = len(cands)
+    order, rows, width = ConflictOracle(A, ideal, cands, 2).pair_rows()
+    cap = _band_cap(rows, order, bitops.mask(m), width)
     for budget in _BUDGETS:
         new, old = ConflictOracle(A, ideal, cands, 2), ConflictOracle(A, ideal, cands, 2)
         got = _exact_pairs(new, m, budget)
-        want = _recursive_exact_pairs(old, m, budget)
+        want = _recursive_exact_pairs(old, m, budget, cap)
         assert (got, new.edges_evaluated) == (want, old.edges_evaluated)
 
 
@@ -415,7 +428,7 @@ def test_capped_pair_search_matches_recursive_form(data):
     assert (len(family), hit) == (len(want), want_hit) == (len(want), False)
     # the families agree on every component but one the walk seed closed at
     # its cap
-    order, rows = new.pair_rows()
+    order, rows, _ = new.pair_rows()
     for comp in _components(rows, bitops.mask(m)):
         got, ref = _component_masks(family, order, comp), _component_masks(want, order, comp)
         if got != ref:
@@ -475,7 +488,7 @@ def test_pair_cap_bounds_each_component(data):
     A, cands = _capped_case(data, _SMALL_CARRIERS)
     m = len(cands)
     oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
-    order, rows = oracle.pair_rows()
+    order, rows, _ = oracle.pair_rows()
     comps = _components(rows, bitops.mask(m))
     # the components split the positions, and no conflict leaves one
     assert sum(comps) == bitops.mask(m)
@@ -515,6 +528,63 @@ def test_deep_search_leaves_recursion_limit_alone():
     assert r.value == 1500
     assert r.family == list(range(0, 3000, 2))
     assert r.stats["nodes"] <= 5000 + 1
+
+
+# -- the banded DP cap on narrow conflict graphs ---------------------------------
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_band_optimum_matches_brute_force(data):
+    w = data.draw(st.integers(0, 6), label="w")
+    m = data.draw(st.integers(0, 14), label="m")
+    back = [data.draw(st.integers(0, (1 << min(w, t)) - 1), label=f"back{t}") for t in range(m)]
+    adj = [0] * m
+    for t, b in enumerate(back):
+        for k in bitops.iter_bits(b):
+            adj[t] |= 1 << (t - 1 - k)
+            adj[t - 1 - k] |= 1 << t
+    best = max(s.bit_count() for s in range(1 << m) if all(not adj[v] & s for v in bitops.iter_bits(s)))
+    assert _band_optimum(back, w) == best
+
+
+@given(st.sets(st.integers(0, 12), min_size=1, max_size=6), st.integers(0, 28))
+@settings(max_examples=60, deadline=None)
+def test_narrow_window_search_matches_uncapped_reference(ps, top):
+    # conflicts only at differences up to 12: the banded DP caps the search,
+    # which must still report the uncapped search's first maximum family
+    g = ZWindowGroup(Window(0, 999, margin=28))
+    A = g.set_of(ps)
+    cands = list(range(top + 1))
+    r = pack_exact(A, TrivialIdeal(), cands, 2)
+    want, hit, nodes = _recursive_exact_pairs(ConflictOracle(A, TrivialIdeal(), cands, 2), len(cands), math.inf)
+    assert (r.family, r.flag in ("exact", "saturated")) == (want, True)
+    assert r.stats["nodes"] <= nodes and r.timing["bandwidth"] <= 12
+
+
+def test_banded_cap_closes_above_the_greedy_seed():
+    # {0, 11, 12} on shifts 0..20: the greedy seed holds 6, the optimum 7;
+    # the search closes on reaching 7, with the uncapped search's family
+    g = ZWindowGroup(Window(0, 999, margin=20))
+    A = g.set_of([0, 11, 12])
+    cands = list(range(21))
+    assert len(_greedy_indices(ConflictOracle(A, TrivialIdeal(), cands, 2), 21, 2)) == 6
+    want = _recursive_exact_pairs(ConflictOracle(A, TrivialIdeal(), cands, 2), 21, math.inf)
+    assert want == ([1, 3, 6, 9, 11, 16, 19], False, 580)
+    r = pack_exact(A, TrivialIdeal(), cands, 2)
+    assert (r.family, r.flag, r.stats["nodes"]) == (want[0], "exact", 23)
+    assert (r.timing["bandwidth"], r.timing["capped"]) == (12, 1)
+
+
+def test_banded_cap_closes_spot_on_a_window():
+    # {0, 5, 9} on shifts 0..300 conflicts at differences 4, 5 and 9: six
+    # blocks of conflict rows, bandwidth 9.  The greedy seed is the optimum
+    # 94, so the search closes at no node where the budget ran out before
+    g = ZWindowGroup(Window(0, 149_999, margin=300))
+    r = pack_exact(g.set_of([0, 5, 9]), TrivialIdeal(), list(range(301)), 2, node_budget=100_000)
+    assert (r.value, r.flag, r.stats["nodes"], r.stats["budget_hit"]) == (94, "exact", 0, False)
+    assert r.timing["bandwidth"] == 9
+    assert r.family == _greedy_indices(ConflictOracle(g.set_of([0, 5, 9]), TrivialIdeal(), list(range(301)), 2), 301, 2)
 
 
 # -- exact search vs brute force -----------------------------------------------
