@@ -29,6 +29,7 @@ CASES = {
     "pack-parity": ["pack", "--name", "parity", "--n", "2", "--shifts", "0..9", "--window", "10000", "--exact"],
     "pack-tri-n2": ["pack", "--name", "tri", "--n", "2", "--shifts", "0..1000", "--window", "0:1000000", "--exact"],
     "pack-tri-n3": ["pack", "--name", "tri", "--n", "3", "--shifts", "2^4..2^12", "--window", "0:100000", "--exact"],
+    "pack-spot-exact": ["pack", "--name", "spot", "--n", "2", "--shifts", "0..300", "--window", "0:150000", "--exact"],
     "small-tri": ["small", "--name", "tri", "--window", "0:1000000", "--m", "2", "--s", "16"],
     "large-parity": ["large", "--name", "parity", "--window", "0:100000"],
     "measure-tri": [
