@@ -318,7 +318,8 @@ class ConflictOracle:
             block = block_of(lo, min(lo + step, m))
             deg[lo : lo + step] = block.sum(axis=1)
             packed[lo : lo + step] = np.packbits(block, axis=1, bitorder="little")
-            # each row's last conflict, right of the row or not
+            # how far right of each row its last conflict lies; the graph is
+            # symmetric, so that covers every pair
             reach = (m - 1 - block[:, ::-1].argmax(axis=1)) - np.arange(lo, lo + len(block))
             width = max(width, int(np.max(reach, where=deg[lo : lo + step] > 0, initial=0)))
         perm = np.lexsort((np.arange(m), -deg))
@@ -526,20 +527,17 @@ def _band_optimum(back: Sequence[int], w: int) -> int:
     conflicts only with the vertices t - 1 - k, k < w a bit of ``back[t]``.
 
     The path-decomposition DP (Arnborg & Proskurowski 1989): ``val[s]`` is
-    the largest set so far whose last w vertices taken are the bits of s
-    (bit 0 the latest); one vectorised step a vertex, O(2^w) time and
-    memory each, and no traceback."""
+    the largest set so far that takes, of the last w vertices, those the
+    bits of s name (bit 0 the latest).  One vectorised step per vertex, each
+    O(2^w) in time and memory; no traceback, as only the value is used."""
     half = 1 << (max(w, 1) - 1)
     states = np.arange(2 * half)
     none = -len(back) - 1  # no set: stays below 0 through every step
     val = np.full(2 * half, none, dtype=np.int32)
     val[0] = 0
     new = np.empty_like(val)
-    clash: dict[int, np.ndarray] = {}
     for b in back:
-        if b not in clash:
-            clash[b] = (states & b) != 0
-        ok = np.where(clash[b], none, val)
+        ok = np.where(states & b, none, val)
         np.maximum(val[:half], val[half:], out=new[0::2])  # vertex t left out
         np.maximum(ok[:half], ok[half:], out=new[1::2])  # taken, where s meets no conflict
         new[1::2] += 1
