@@ -66,6 +66,8 @@ CASES = {
         "pack", "--set", "list{17,25,57,71}", "--mod", "86", "--n", "2", "--shifts", "0..85", "--exact",
         "--node-budget", "100",
     ],
+    # an n = 3 search on Z_N that runs to its close
+    "pack-mod20-n3": ["pack", "--set", "list{4,12,14,18}", "--mod", "20", "--n", "3", "--shifts", "0..19", "--exact"],
     # usage errors (exit 2)
     "pack-f2-long-translator": [
         "pack", "--set", "compl(empty)", "--depth", "2", "--translators", "e,aaa,bbb", "--n", "2", "--exact",
