@@ -17,9 +17,11 @@ Z_N, Cayley tables and Z windows with non-negative shifts, a pair conflict
 depends on one difference d = g^-1 h alone, and each difference is decided
 once, as the least witness u in A with d·u in A (mode ``difference-pairs``).
 The free group, windows with a negative shift, n >= 3 and the other ideals
-decide combination by combination on translate bitsets.  Both searches run
-on an explicit stack, so their depth is bounded by the candidate count and
-not by the interpreter's recursion limit, which is left alone.
+decide combination by combination on translate bitsets; for n >= 3 each
+position keeps its edges as the masks of their other members
+(``ConflictOracle.hyper_rows``).  One branch-and-bound (``_Branch``) searches
+every arity, on an explicit stack, so its depth is bounded by the candidate
+count and not by the interpreter's recursion limit, which is left alone.
 
 Flags: "exact" (search completed), "lower-bound" (node budget hit first),
 "saturated" (the family exhausts every candidate — the finite stand-in for
@@ -50,11 +52,11 @@ node and may differ from the one a search over the whole graph reports.
 Every other family is the one that search reports, once it closes.  The
 components share the node budget in rounds of 1, 2, 4, ... nodes each.  Z
 windows, the free group, n >= 3 and the other ideals have no counting cap:
-their graph is one component, searched whole.  Every seed, the first descent
-and the walk is one ``_greedy`` along a sequence of positions.
+their graph or hypergraph is one component, searched whole.  Every seed, the
+first descent and the walk is one ``_greedy`` along a sequence of positions.
 
-The banded DP cap: where no conflict spans more than 12 candidates in
-candidate order (the bandwidth; 9 for {0, 5, 9} on a window), a dynamic
+The banded DP cap, for n=2: where no conflict spans more than 12 candidates
+in candidate order (the bandwidth; 9 for {0, 5, 9} on a window), a dynamic
 program gives each component's optimum, which caps a search whose start is
 below its cap.  The search then closes once its incumbent first reaches it,
 with the family an exhausted search reports; only the flag and ``nodes``
@@ -66,6 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -331,6 +334,23 @@ class ConflictOracle:
             rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed_rows)
         return perm.tolist(), rows, width
 
+    def hyper_rows(self) -> tuple[list[int], list[list[int]]]:
+        """The n >= 3 conflict hypergraph in search order: ``order`` by edge
+        degree descending, index ascending, as for pairs; ``rests[p]`` holds
+        each edge at position p as the position mask of its other members.
+        Every n-subset counts as one evaluated edge."""
+        m = len(self.cands)
+        edges = [combo for combo in itertools.combinations(range(m), self.n) if self.is_edge(combo)]
+        deg = Counter(itertools.chain.from_iterable(edges))
+        order = sorted(range(m), key=lambda i: (-deg[i], i))
+        pos_of = sorted(range(m), key=order.__getitem__)
+        rests: list[list[int]] = [[] for _ in range(m)]
+        for combo in edges:
+            mask = sum(1 << pos_of[i] for i in combo)
+            for i in combo:
+                rests[pos_of[i]].append(mask ^ 1 << pos_of[i])
+        return order, rests
+
 
 def _lap(timing: Optional[dict], key: str, t0: float) -> float:
     """Record the milliseconds since ``t0`` under ``key``; the time now."""
@@ -424,11 +444,12 @@ def pack_greedy(
     return _pack(A, ideal, candidates, n, expr, search)
 
 
-def _exact_pairs(
+def _exact(
     oracle: ConflictOracle, m: int, node_budget: int, timing: Optional[dict] = None
 ) -> tuple[list[int], bool, int]:
-    """Max independent set in the conflict graph (n=2) by bitmask B&B, on
-    the rows of ``ConflictOracle.pair_rows`` (one row path in both modes).
+    """Max independent family in the conflict hypergraph by bitmask B&B
+    (``_Branch``): on the rows of ``ConflictOracle.pair_rows`` for n=2, on
+    ``ConflictOracle.hyper_rows`` through an ``_Open`` for n >= 3.
 
     Where ``oracle.caps_pairs`` holds, each connected component of the graph
     (``_components``) is searched on its own and closes once its family
@@ -438,9 +459,9 @@ def _exact_pairs(
     first descent (the greedy along its positions in search order, the first
     maximum family whenever it is maximum) where that is larger, or from
     ``_walk_family`` where only that reaches the counting cap; all three are
-    ``_greedy`` families.  A start below its cap, where the bandwidth allows,
-    also gets the component's optimum as a cap (``_band_cap``).  The
-    searches share ``node_budget`` (``_share``).
+    ``_greedy`` families.  A pair search whose start is below its cap, where
+    the bandwidth allows, also gets the component's optimum as a cap
+    (``_band_cap``).  The searches share ``node_budget`` (``_share``).
 
     A search over the whole graph keeps the greedy seed only when no
     component beats its part of it, and otherwise reports the first maximum
@@ -449,19 +470,29 @@ def _exact_pairs(
     first descent if that is as large, else the first one a search capped at
     that size meets.  ``timing``, when given, gets ``rows_ms``,
     ``search_ms`` (``dp_ms`` of it in the DP), ``components``, ``capped``
-    (the components whose family reached either cap) and ``bandwidth``.
+    (the components whose family reached either cap) and, for n=2,
+    ``bandwidth``.
     """
     t0 = time.perf_counter()
-    order, padj, width = oracle.pair_rows()
+    full = bitops.mask(m)
+    width = None
+    if oracle.n == 2:
+        order, padj, width = oracle.pair_rows()
+        keep = [full ^ row for row in padj]  # the positions each choice leaves open
+
+        def fits(mask: int, p: int) -> bool:
+            return not padj[p] & mask
+
+    else:
+        order, rests = oracle.hyper_rows()
+        keep = _Open(rests)
+
+        def fits(mask: int, p: int) -> bool:
+            return all(r & mask != r for r in rests[p])
+
     t0 = _lap(timing, "rows_ms", t0)
     pos_of = sorted(range(m), key=order.__getitem__)  # the inverse of order: each candidate's position
-
-    def fits(mask: int, p: int) -> bool:
-        return not padj[p] & mask
-
     seed = _greedy(pos_of, fits)  # in candidate order
-    full = bitops.mask(m)
-    keep = [full ^ row for row in padj]  # the positions each choice leaves open
     comps = _components(padj, full) if oracle.caps_pairs else [full]
     seeds = [(seed & comp).bit_count() for comp in comps]
     firsts = [_greedy(bitops.iter_bits(comp), fits) for comp in comps] if oracle.caps_pairs else []
@@ -479,13 +510,15 @@ def _exact_pairs(
                 walk = _walk_family(padj, comp)
                 if walk.bit_count() >= cap:
                     start = walk
-        if start.bit_count() < cap:
+        if start.bit_count() < cap and width is not None:
             t1 = time.perf_counter()
             cap = min(cap, _band_cap(padj, order, comp, width))
             dp_s += time.perf_counter() - t1
         best = list(bitops.iter_bits(start))
         searches.append(_Branch(keep, comp, best, len(best), cap))
         caps.append(cap)
+    if width is None:
+        keep.cur = searches[0].cur  # the one component, whose family ``keep`` reads
     nodes, budget_hit = _share(searches, 0, node_budget)
     if not budget_hit and any(len(s.best) > size for s, size in zip(searches, seeds)):
         again = []
@@ -503,8 +536,9 @@ def _exact_pairs(
     if timing is not None:
         timing["components"] = len(comps)
         timing["capped"] = sum(len(s.best) >= cap for s, cap in zip(searches, caps))
-        timing["bandwidth"] = width
         timing["dp_ms"] = round(dp_s * 1000, 3)
+        if width is not None:
+            timing["bandwidth"] = width
     return sorted(order[p] for s in searches for p in s.best), budget_hit, nodes
 
 
@@ -550,13 +584,13 @@ class _Branch:
 
     Depth-first, include before exclude, on an explicit stack: ``cur`` holds
     the positions (in search order) taken on the way down, ``rem`` the
-    positions still open below them, and ``stack`` what each level has left
-    to try once the branch under it closes.  A family replaces ``best`` when
-    it is larger than ``nbest``; the search closes once one reaches ``cap``
-    or no branch is left.
+    positions still open below them (``keep[p]`` masks those a taken p
+    leaves), and ``stack`` what each level has left to try once the branch
+    under it closes.  A family replaces ``best`` when it is larger than
+    ``nbest``; the search closes once one reaches ``cap`` or no branch is left.
     """
 
-    def __init__(self, keep: list[int], rem: int, best: list[int], nbest: int, cap: float):
+    def __init__(self, keep: list[int] | _Open, rem: int, best: list[int], nbest: int, cap: float):
         self.keep = keep
         self.rem = rem
         self.best = best
@@ -598,6 +632,27 @@ class _Branch:
             rem &= keep[p]
         self.rem, self.nbest = rem, nbest
         return spent
+
+
+class _Open:
+    """``keep`` for n >= 3, read by the one ``_Branch`` whose list ``cur`` it
+    holds.  Once p joins ``cur``, ``keep[p]`` masks out each position k that
+    one of p's edges (``rests[p]``, the masks of their other members) has
+    alone outside ``cur``.  Every open position fits ``cur`` before p joins,
+    so an edge that k would complete holds p: what stays open still fits."""
+
+    def __init__(self, rests: list[list[int]]):
+        self.rests = rests
+        self.cur: list[int] = []
+
+    def __getitem__(self, p: int) -> int:
+        taken = sum(1 << q for q in self.cur)
+        drop = 0
+        for rest in self.rests[p]:
+            left = rest & ~taken
+            if left & (left - 1) == 0:
+                drop |= left
+        return ~drop
 
 
 def _share(searches: list[_Branch], nodes: int, node_budget: float) -> tuple[int, bool]:
@@ -660,59 +715,6 @@ def _depth_first(rows: list[int], comp: int) -> Iterator[int]:
         yield stack[-1]
 
 
-def _exact_hyper(
-    oracle: ConflictOracle, m: int, n: int, node_budget: int, timing: Optional[dict] = None
-) -> tuple[list[int], bool, int]:
-    """B&B for n >= 3 on an explicit stack.
-
-    Each hyperedge is stored once per member, as the bitmask of its other
-    members: a candidate fits a family unless one of its masks lies inside
-    the family's mask.  ``cur`` holds the candidates taken on the way down,
-    ``p`` the next search position to try below them, and ``starts`` the
-    position each level resumes from once the branch under it closes.
-    ``timing``, when given, gets ``rows_ms`` and ``search_ms``.
-    """
-    t0 = time.perf_counter()
-    rests: list[list[int]] = [[] for _ in range(m)]
-    for combo in itertools.combinations(range(m), n):
-        if oracle.is_edge(combo):
-            edge = sum(1 << i for i in combo)
-            for i in combo:
-                rests[i].append(edge ^ (1 << i))
-    order = sorted(range(m), key=lambda i: (-len(rests[i]), i))
-    t0 = _lap(timing, "rows_ms", t0)
-
-    def fits(family_mask: int, i: int) -> bool:
-        return all(r & family_mask != r for r in rests[i])
-
-    best = list(bitops.iter_bits(_greedy(range(m), fits)))  # in candidate order
-    nodes = 0
-    cur: list[int] = []
-    cur_mask = 0
-    starts: list[int] = []
-    p = 0
-    while True:
-        if len(cur) + (m - p) <= len(best):
-            if not starts:
-                break
-            p = starts.pop()
-            cur_mask ^= 1 << cur.pop()
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            break
-        i = order[p]
-        p += 1
-        if fits(cur_mask, i):
-            starts.append(p)
-            cur.append(i)
-            cur_mask |= 1 << i
-            if len(cur) > len(best):
-                best = list(cur)
-    _lap(timing, "search_ms", t0)
-    return sorted(best), nodes > node_budget, nodes
-
-
 def pack_exact(
     A: MaterializedSet,
     ideal: Optional[Ideal],
@@ -737,10 +739,7 @@ def pack_exact(
         if n >= 3 and m > exact_cap:
             raise BudgetExceeded(f"exact search with n={n} is capped at {exact_cap} candidates (got {m})")
         oracle = ConflictOracle(A, ideal, candidates, n)
-        if n == 2:
-            family, budget_hit, nodes = _exact_pairs(oracle, m, node_budget, timing)
-        else:
-            family, budget_hit, nodes = _exact_hyper(oracle, m, n, node_budget, timing)
+        family, budget_hit, nodes = _exact(oracle, m, node_budget, timing)
         return oracle, family, not budget_hit, {"nodes": nodes, "budget_hit": budget_hit}
 
     return _pack(A, ideal, candidates, n, expr, search)

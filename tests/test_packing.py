@@ -17,8 +17,7 @@ from idealpack.packing import (
     _band_cap,
     _band_optimum,
     _components,
-    _exact_hyper,
-    _exact_pairs,
+    _exact,
     _greedy_indices,
     _walk_family,
     pack_exact,
@@ -174,12 +173,12 @@ def test_greedy_pair_rows_cached_as_packed_bits():
 def test_packing_report_timing_is_stripped():
     g = CayleyGroup(*symmetric_table(4))
     A = g.set_of([0, 3, 7])
-    # the pair search also counts its components and those a cap closed, and
-    # gives the graph's bandwidth and the banded DP's milliseconds
+    # the exact search also counts its components and those a cap closed, and
+    # gives the banded DP's milliseconds and, for pairs, the graph's bandwidth
     pair_keys = {"rows_ms", "search_ms", "components", "capped", "bandwidth", "dp_ms"}
     for report, keys in ((pack_exact(A, TrivialIdeal(), list(range(24)), 2), pair_keys),
                          (pack_greedy(A, TrivialIdeal(), list(range(24)), 2), {"rows_ms", "search_ms"}),
-                         (pack_exact(A, TrivialIdeal(), list(range(8)), 3), {"rows_ms", "search_ms"})):
+                         (pack_exact(A, TrivialIdeal(), list(range(8)), 3), pair_keys - {"bandwidth"})):
         payload = report.payload()
         assert set(payload["timing"]) == keys
         assert all(v >= 0 for v in payload["timing"].values())
@@ -388,7 +387,7 @@ def test_pair_search_matches_recursive_form(kind, data):
     cap = _band_cap(rows, order, bitops.mask(m), width)
     for budget in _BUDGETS:
         new, old = ConflictOracle(A, ideal, cands, 2), ConflictOracle(A, ideal, cands, 2)
-        got = _exact_pairs(new, m, budget)
+        got = _exact(new, m, budget)
         want = _recursive_exact_pairs(old, m, budget, cap)
         assert (got, new.edges_evaluated) == (want, old.edges_evaluated)
 
@@ -423,7 +422,7 @@ def test_capped_pair_search_matches_recursive_form(data):
     m = len(cands)
     new, old = ConflictOracle(A, TrivialIdeal(), cands, 2), ConflictOracle(A, TrivialIdeal(), cands, 2)
     assert new.caps_pairs
-    family, hit, _ = _exact_pairs(new, m, math.inf)
+    family, hit, _ = _exact(new, m, math.inf)
     want, want_hit, _ = _recursive_exact_pairs(old, m, math.inf)
     assert (len(family), hit) == (len(want), want_hit) == (len(want), False)
     # the families agree on every component but one the walk seed closed at
@@ -445,7 +444,7 @@ def test_capped_pair_search_keeps_its_budget(kind, data):
     seed = _greedy_indices(ConflictOracle(A, ideal, cands, 2), m, 2)
     for budget in (0, 1, 3, 100):
         oracle = ConflictOracle(A, ideal, cands, 2)
-        family, hit, nodes = _exact_pairs(oracle, m, budget)
+        family, hit, nodes = _exact(oracle, m, budget)
         assert hit == (nodes > budget) and nodes <= budget + 1
         assert len(family) >= len(seed)
         assert not any(oracle.is_edge(pair) for pair in itertools.combinations(family, 2))
@@ -501,20 +500,58 @@ def test_pair_cap_bounds_each_component(data):
         assert oracle.pair_cap([order[p] for p in ps]) >= best
 
 
-@given(
-    st.integers(6, 16),
-    st.sets(st.integers(0, 15), min_size=1, max_size=5),
-    st.sampled_from([3, 4]),
-)
-@settings(max_examples=40, deadline=None)
-def test_hyper_search_matches_recursive_form(N, ps, n):
-    g = ZModGroup(N)
-    A = g.set_of([p % N for p in ps])
+_HYPER_TABLES = (symmetric_table(3), dihedral_table(5))
+
+
+def _hyper_case(data):
+    """Z_N with all N candidates, a window with the shifts up to its margin
+    in any order, or S3 or D5 with every element in any order; small enough
+    for ``brute_pack``."""
+    kind = data.draw(st.sampled_from(["z-mod", "window", "cayley"]), label="kind")
+    if kind == "z-mod":
+        g = ZModGroup(data.draw(st.integers(6, 13), label="N"))
+        cands = range(g.size)
+    elif kind == "window":
+        margin = data.draw(st.integers(2, 11), label="margin")
+        g = ZWindowGroup(Window(0, data.draw(st.integers(30, 60), label="hi"), margin=margin))
+        cands = data.draw(st.permutations(range(margin + 1)), label="cands")
+    else:
+        g = CayleyGroup(*data.draw(st.sampled_from(_HYPER_TABLES), label="table"))
+        cands = data.draw(st.permutations(range(g.size)), label="cands")
+    A = g.set_of(data.draw(st.sets(st.integers(0, g.size - 1), min_size=1, max_size=5), label="A"))
+    return A, list(cands)
+
+
+# the search closes wherever the recursive form closes, on the same family and
+# in no more nodes: both meet the same strictly larger families in the same
+# order, and narrowing the open positions to those that fit prunes only
+# subtrees that cannot beat the incumbent.  Where the recursive form hits its
+# budget, the search reaches at least its value
+@given(data=st.data(), n=st.sampled_from([3, 4]))
+@settings(max_examples=60, deadline=None)
+def test_hyper_search_matches_recursive_form(data, n):
+    A, cands = _hyper_case(data)
+    m = len(cands)
     for budget in _BUDGETS:
-        new, old = ConflictOracle(A, TrivialIdeal(), range(N), n), ConflictOracle(A, TrivialIdeal(), range(N), n)
-        got = _exact_hyper(new, N, n, budget)
-        want = _recursive_exact_hyper(old, N, n, budget)
-        assert (got, new.edges_evaluated) == (want, old.edges_evaluated)
+        new, old = ConflictOracle(A, TrivialIdeal(), cands, n), ConflictOracle(A, TrivialIdeal(), cands, n)
+        family, hit, nodes = _exact(new, m, budget)
+        want, want_hit, want_nodes = _recursive_exact_hyper(old, m, n, budget)
+        assert new.edges_evaluated == old.edges_evaluated
+        if want_hit:
+            assert len(family) >= len(want)
+        else:
+            assert (family, hit) == (want, False) and nodes <= want_nodes
+        assert not any(new.is_edge(combo) for combo in itertools.combinations(family, n))
+    assert len(family) == brute_pack(A, TrivialIdeal(), cands, n)  # at budget inf
+
+
+def test_hyper_search_closes_on_its_budget():
+    # {4, 12, 14, 18} on Z_20, n = 3: the search closes in 869 nodes, inside a
+    # budget of 5,000
+    g = ZModGroup(20)
+    r = pack_exact(g.set_of([4, 12, 14, 18]), TrivialIdeal(), list(range(20)), 3, node_budget=5000)
+    assert (r.value, r.flag, r.stats["nodes"]) == (10, "exact", 869)
+    assert r.family == [0, 1, 4, 5, 8, 9, 12, 13, 16, 17]
 
 
 def test_deep_search_leaves_recursion_limit_alone():
