@@ -17,11 +17,10 @@ Z_N, Cayley tables and Z windows with non-negative shifts, a pair conflict
 depends on one difference d = g^-1 h alone, and each difference is decided
 once, as the least witness u in A with d·u in A (mode ``difference-pairs``).
 The free group, windows with a negative shift, n >= 3 and the other ideals
-decide combination by combination on translate bitsets; for n >= 3 each
-position keeps its edges as the masks of their other members
-(``ConflictOracle.hyper_rows``).  One branch-and-bound (``_Branch``) searches
-every arity, on an explicit stack, so its depth is bounded by the candidate
-count and not by the interpreter's recursion limit, which is left alone.
+decide combination by combination on translate bitsets.  One
+branch-and-bound (``_Branch``) searches every arity, on an explicit stack,
+so its depth is bounded by the candidate count and not by the interpreter's
+recursion limit, which is left alone.
 
 Flags: "exact" (search completed), "lower-bound" (node budget hit first),
 "saturated" (the family exhausts every candidate — the finite stand-in for
@@ -334,22 +333,23 @@ class ConflictOracle:
             rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed_rows)
         return perm.tolist(), rows, width
 
-    def hyper_rows(self) -> tuple[list[int], list[list[int]]]:
-        """The n >= 3 conflict hypergraph in search order: ``order`` by edge
-        degree descending, index ascending, as for pairs; ``rests[p]`` holds
-        each edge at position p as the position mask of its other members.
-        Every n-subset counts as one evaluated edge."""
+    def hyper_rows(self) -> tuple[list[int], list[dict[tuple, int]]]:
+        """The n >= 3 conflict hypergraph in search order: ``order`` as for
+        pairs, by edge degree; ``links[p]`` maps each increasing tuple S of
+        n-2 positions to the mask of the k that make S, p, k an edge.  Every
+        n-subset counts as one evaluated edge."""
         m = len(self.cands)
         edges = [combo for combo in itertools.combinations(range(m), self.n) if self.is_edge(combo)]
         deg = Counter(itertools.chain.from_iterable(edges))
         order = sorted(range(m), key=lambda i: (-deg[i], i))
         pos_of = sorted(range(m), key=order.__getitem__)
-        rests: list[list[int]] = [[] for _ in range(m)]
+        links: list[dict[tuple, int]] = [{} for _ in range(m)]
         for combo in edges:
-            mask = sum(1 << pos_of[i] for i in combo)
-            for i in combo:
-                rests[pos_of[i]].append(mask ^ 1 << pos_of[i])
-        return order, rests
+            ps = sorted(pos_of[i] for i in combo)
+            for p, k in itertools.permutations(ps, 2):
+                rest = tuple(q for q in ps if q != p and q != k)
+                links[p][rest] = links[p].get(rest, 0) | 1 << k
+        return order, links
 
 
 def _lap(timing: Optional[dict], key: str, t0: float) -> float:
@@ -447,9 +447,8 @@ def pack_greedy(
 def _exact(
     oracle: ConflictOracle, m: int, node_budget: int, timing: Optional[dict] = None
 ) -> tuple[list[int], bool, int]:
-    """Max independent family in the conflict hypergraph by bitmask B&B
-    (``_Branch``): on the rows of ``ConflictOracle.pair_rows`` for n=2, on
-    ``ConflictOracle.hyper_rows`` through an ``_Open`` for n >= 3.
+    """Max independent family by bitmask B&B (``_Branch``) on the conflict
+    rows of ``ConflictOracle.pair_rows`` (n=2) or ``hyper_rows`` (n >= 3).
 
     Where ``oracle.caps_pairs`` holds, each connected component of the graph
     (``_components``) is searched on its own and closes once its family
@@ -468,10 +467,9 @@ def _exact(
     family of its order in every component.  So once one component beats its
     seed, every other one takes its first family of the seed's size: the
     first descent if that is as large, else the first one a search capped at
-    that size meets.  ``timing``, when given, gets ``rows_ms``,
-    ``search_ms`` (``dp_ms`` of it in the DP), ``components``, ``capped``
-    (the components whose family reached either cap) and, for n=2,
-    ``bandwidth``.
+    that size meets.  ``timing``, when given, gets ``rows_ms``, ``search_ms``
+    (``dp_ms`` of it in the DP), ``components``, ``capped`` (the components
+    whose family reached either cap) and, for n=2, ``bandwidth``.
     """
     t0 = time.perf_counter()
     full = bitops.mask(m)
@@ -484,11 +482,11 @@ def _exact(
             return not padj[p] & mask
 
     else:
-        order, rests = oracle.hyper_rows()
-        keep = _Open(rests)
+        order, links = oracle.hyper_rows()
+        keep = _Open(links, oracle.n)
 
         def fits(mask: int, p: int) -> bool:
-            return all(r & mask != r for r in rests[p])
+            return not keep.completing(p, bitops.iter_bits(mask)) & mask
 
     t0 = _lap(timing, "rows_ms", t0)
     pos_of = sorted(range(m), key=order.__getitem__)  # the inverse of order: each candidate's position
@@ -635,24 +633,26 @@ class _Branch:
 
 
 class _Open:
-    """``keep`` for n >= 3, read by the one ``_Branch`` whose list ``cur`` it
-    holds.  Once p joins ``cur``, ``keep[p]`` masks out each position k that
-    one of p's edges (``rests[p]``, the masks of their other members) has
-    alone outside ``cur``.  Every open position fits ``cur`` before p joins,
-    so an edge that k would complete holds p: what stays open still fits."""
+    """``keep`` for n >= 3, read by the one ``_Branch`` whose rising ``cur`` it
+    holds: ``keep[p]`` masks out the positions completing an edge with p, the
+    last of ``cur``, and n-2 others of it.  Open positions fit before p joins,
+    so any edge one completes holds p: what stays open still fits."""
 
-    def __init__(self, rests: list[list[int]]):
-        self.rests = rests
+    def __init__(self, links: list[dict[tuple, int]], n: int):
+        self.links = links
+        self.n = n
         self.cur: list[int] = []
 
+    def completing(self, p: int, members: Iterable[int]) -> int:
+        """The positions completing an edge with p and n-2 of ``members`` (increasing)."""
+        link = self.links[p]
+        out = 0
+        for rest in itertools.combinations(members, self.n - 2):
+            out |= link.get(rest, 0)
+        return out
+
     def __getitem__(self, p: int) -> int:
-        taken = sum(1 << q for q in self.cur)
-        drop = 0
-        for rest in self.rests[p]:
-            left = rest & ~taken
-            if left & (left - 1) == 0:
-                drop |= left
-        return ~drop
+        return ~self.completing(p, self.cur)
 
 
 def _share(searches: list[_Branch], nodes: int, node_budget: float) -> tuple[int, bool]:
