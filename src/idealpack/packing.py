@@ -468,8 +468,8 @@ def _exact(
     seed, every other one takes its first family of the seed's size: the
     first descent if that is as large, else the first one a search capped at
     that size meets.  ``timing``, when given, gets ``rows_ms``, ``search_ms``
-    (``dp_ms`` of it in the DP), ``components``, ``capped`` (the components
-    whose family reached either cap) and, for n=2, ``bandwidth``.
+    and, for n=2, ``dp_ms`` (of it, in the DP), ``components``, ``capped``
+    (the components whose family reached either cap) and ``bandwidth``.
     """
     t0 = time.perf_counter()
     full = bitops.mask(m)
@@ -515,8 +515,9 @@ def _exact(
         best = list(bitops.iter_bits(start))
         searches.append(_Branch(keep, comp, best, len(best), cap))
         caps.append(cap)
-    if width is None:
-        keep.cur = searches[0].cur  # the one component, whose family ``keep`` reads
+    if width is None:  # n >= 3: no counting cap, so one search, whose family ``keep`` reads
+        assert len(searches) == 1  # and the re-search below, which needs two, never runs
+        keep.cur = searches[0].cur
     nodes, budget_hit = _share(searches, 0, node_budget)
     if not budget_hit and any(len(s.best) > size for s, size in zip(searches, seeds)):
         again = []
@@ -531,12 +532,11 @@ def _exact(
                 again.append(searches[k])
         nodes, budget_hit = _share(again, nodes, node_budget)
     _lap(timing, "search_ms", t0)
-    if timing is not None:
+    if timing is not None and width is not None:
         timing["components"] = len(comps)
         timing["capped"] = sum(len(s.best) >= cap for s, cap in zip(searches, caps))
         timing["dp_ms"] = round(dp_s * 1000, 3)
-        if width is not None:
-            timing["bandwidth"] = width
+        timing["bandwidth"] = width
     return sorted(order[p] for s in searches for p in s.best), budget_hit, nodes
 
 
@@ -652,7 +652,7 @@ class _Open:
         return out
 
     def __getitem__(self, p: int) -> int:
-        return ~self.completing(p, self.cur)
+        return ~self.completing(p, self.cur[:-1])  # no key of links[p] holds p
 
 
 def _share(searches: list[_Branch], nodes: int, node_budget: float) -> tuple[int, bool]:

@@ -173,12 +173,12 @@ def test_greedy_pair_rows_cached_as_packed_bits():
 def test_packing_report_timing_is_stripped():
     g = CayleyGroup(*symmetric_table(4))
     A = g.set_of([0, 3, 7])
-    # the exact search also counts its components and those a cap closed, and
-    # gives the banded DP's milliseconds and, for pairs, the graph's bandwidth
+    # the pair search also counts its components and those a cap closed, and
+    # gives the graph's bandwidth and the banded DP's milliseconds
     pair_keys = {"rows_ms", "search_ms", "components", "capped", "bandwidth", "dp_ms"}
     for report, keys in ((pack_exact(A, TrivialIdeal(), list(range(24)), 2), pair_keys),
                          (pack_greedy(A, TrivialIdeal(), list(range(24)), 2), {"rows_ms", "search_ms"}),
-                         (pack_exact(A, TrivialIdeal(), list(range(8)), 3), pair_keys - {"bandwidth"})):
+                         (pack_exact(A, TrivialIdeal(), list(range(8)), 3), {"rows_ms", "search_ms"})):
         payload = report.payload()
         assert set(payload["timing"]) == keys
         assert all(v >= 0 for v in payload["timing"].values())
@@ -505,11 +505,10 @@ _HYPER_TABLES = (symmetric_table(3), dihedral_table(5))
 
 def _hyper_case(data):
     """Z_N with all N candidates, a window with the shifts up to its margin
-    in any order, or S3 or D5 with every element in any order; small enough
-    for ``brute_pack``."""
+    in any order, or S3 or D5 with every element in any order."""
     kind = data.draw(st.sampled_from(["z-mod", "window", "cayley"]), label="kind")
     if kind == "z-mod":
-        g = ZModGroup(data.draw(st.integers(6, 13), label="N"))
+        g = ZModGroup(data.draw(st.integers(6, 16), label="N"))
         cands = range(g.size)
     elif kind == "window":
         margin = data.draw(st.integers(2, 11), label="margin")
@@ -526,7 +525,8 @@ def _hyper_case(data):
 # in no more nodes: both meet the same strictly larger families in the same
 # order, and narrowing the open positions to those that fit prunes only
 # subtrees that cannot beat the incumbent.  Where the recursive form hits its
-# budget, the search reaches at least its value
+# budget, the search reaches at least its value, and it keeps the budget as the
+# pair search does: the node past it is counted, as its one hit
 @given(data=st.data(), n=st.sampled_from([3, 4]))
 @settings(max_examples=60, deadline=None)
 def test_hyper_search_matches_recursive_form(data, n):
@@ -537,12 +537,14 @@ def test_hyper_search_matches_recursive_form(data, n):
         family, hit, nodes = _exact(new, m, budget)
         want, want_hit, want_nodes = _recursive_exact_hyper(old, m, n, budget)
         assert new.edges_evaluated == old.edges_evaluated
+        assert hit == (nodes > budget) and nodes <= budget + 1
         if want_hit:
             assert len(family) >= len(want)
         else:
             assert (family, hit) == (want, False) and nodes <= want_nodes
         assert not any(new.is_edge(combo) for combo in itertools.combinations(family, n))
-    assert len(family) == brute_pack(A, TrivialIdeal(), cands, n)  # at budget inf
+    if m <= 13:  # brute force stays fast; at budget inf the closed reference pins the rest
+        assert len(family) == brute_pack(A, TrivialIdeal(), cands, n)
 
 
 def test_hyper_search_closes_on_its_budget():
