@@ -60,6 +60,14 @@ program gives each component's optimum, which caps a search whose start is
 below its cap.  The search then closes once its incumbent first reaches it,
 with the family an exhausted search reports; only the flag and ``nodes``
 change.  The walk still answers to the counting cap alone.
+
+For n >= 3, a branch closes when the positions open under it split into too
+few cliques of its link graph to beat the incumbent (``_Open``).  Where every
+element of an exact carrier is a candidate once and membership depends on
+the count alone, translation maps each family onto one holding position 0,
+so the search takes it at the root and leaves out the branch without it.
+Neither cuts a family larger than the incumbent: every search that closes
+reports the family an exhausted search does.
 """
 
 from __future__ import annotations
@@ -156,6 +164,11 @@ class ConflictOracle:
         size = self.group.size
         # raises the usage errors ``member`` would at the first edge
         cutoff = ideal.cardinality_cutoff(self.group)
+        # each element of an exact carrier a candidate once, membership a
+        # matter of the count: translation maps every family onto one holding
+        # any given candidate (read by n >= 3 searches only)
+        self.transitive = n >= 3 and self.group.translation_is_exact and cutoff is not None \
+            and sorted(map(self.group.index, self.cands)) == list(range(size))
         if n == 2 and cutoff == 0:
             if self.group.translation_is_exact:
                 self._mode = "difference-pairs"
@@ -467,7 +480,9 @@ def _exact(
     family of its order in every component.  So once one component beats its
     seed, every other one takes its first family of the seed's size: the
     first descent if that is as large, else the first one a search capped at
-    that size meets.  ``timing``, when given, gets ``rows_ms``, ``search_ms``
+    that size meets.  An n >= 3 search takes position 0 at the root where
+    ``oracle.transitive`` holds, and ``_Open`` closes its branches by the
+    link-graph cliques.  ``timing``, when given, gets ``rows_ms``, ``search_ms``
     and, for n=2, ``dp_ms`` (of it, in the DP), ``components``, ``capped``
     (the components whose family reached either cap) and ``bandwidth``.
     """
@@ -483,7 +498,7 @@ def _exact(
 
     else:
         order, links = oracle.hyper_rows()
-        keep = _Open(links, oracle.n)
+        keep = _Open(links, oracle.n, full)
 
         def fits(mask: int, p: int) -> bool:
             return not keep.completing(p, bitops.iter_bits(mask)) & mask
@@ -515,10 +530,18 @@ def _exact(
         best = list(bitops.iter_bits(start))
         searches.append(_Branch(keep, comp, best, len(best), cap))
         caps.append(cap)
-    if width is None:  # n >= 3: no counting cap, so one search, whose family ``keep`` reads
+    nodes = 0
+    if width is None:  # n >= 3: no counting cap, so one search, which ``keep`` follows
         assert len(searches) == 1  # and the re-search below, which needs two, never runs
-        keep.cur = searches[0].cur
-    nodes, budget_hit = _share(searches, 0, node_budget)
+        keep.branch = search = searches[0]
+        if oracle.transitive and search.nbest < m and node_budget:
+            # translation maps a maximum family onto one holding position 0:
+            # take it, as one node, and leave out the branch without it (a
+            # seed of every candidate closes at no node, as before)
+            search.cur.append(0)
+            search.rem = keep[0]
+            nodes = 1
+    nodes, budget_hit = _share(searches, nodes, node_budget)
     if not budget_hit and any(len(s.best) > size for s, size in zip(searches, seeds)):
         again = []
         for k, comp in enumerate(comps):
@@ -633,15 +656,22 @@ class _Branch:
 
 
 class _Open:
-    """``keep`` for n >= 3, read by the one ``_Branch`` whose rising ``cur`` it
-    holds: ``keep[p]`` masks out the positions completing an edge with p, the
-    last of ``cur``, and n-2 others of it.  Open positions fit before p joins,
-    so any edge one completes holds p: what stays open still fits."""
+    """``keep`` for n >= 3, read by the one ``_Branch`` (``branch``) whose
+    rising ``cur`` it follows.  ``keep[p]``, p the last of ``cur``, is
+    ``open[d]`` (d = len(cur)): the positions above p that still fit, those
+    of ``open[d-1]`` that complete no edge with p and n-2 others of ``cur``.
+    ``adj[d][u]`` masks those others for u: u ~ v in the link graph of
+    ``cur`` when u, v and n-2 members of it make an edge, so a family takes
+    at most one position of a clique.  ``keep[p]`` is 0, which closes the
+    branch under p, when ``open[d]`` splits into too few cliques to lift
+    ``cur`` past the incumbent."""
 
-    def __init__(self, links: list[dict[tuple, int]], n: int):
+    def __init__(self, links: list[dict[tuple, int]], n: int, full: int):
         self.links = links
         self.n = n
-        self.cur: list[int] = []
+        self.open = [full]
+        self.adj = [[0] * len(links)]
+        self.branch: _Branch
 
     def completing(self, p: int, members: Iterable[int]) -> int:
         """The positions completing an edge with p and n-2 of ``members`` (increasing)."""
@@ -652,7 +682,29 @@ class _Open:
         return out
 
     def __getitem__(self, p: int) -> int:
-        return ~self.completing(p, self.cur[:-1])  # no key of links[p] holds p
+        cur = self.branch.cur
+        d = len(cur)
+        del self.open[d:], self.adj[d:]
+        rem = self.open[-1] & -(2 << p) & ~self.adj[-1][p]
+        adj = self.adj[-1][:]
+        # the edges new to the link graph hold p, the highest of ``cur``
+        for rest in itertools.combinations(cur[:-1], self.n - 3):
+            for u in bitops.iter_bits(rem):
+                adj[u] |= self.links[u].get(rest + (p,), 0)
+        self.open.append(rem)
+        self.adj.append(adj)
+        room = len(self.branch.best) - d  # a family past the incumbent takes more than this
+        cliques = 0
+        while rem and cliques <= room:
+            low = rem & -rem
+            rem ^= low
+            near = adj[low.bit_length() - 1] & rem
+            while near:
+                low = near & -near
+                rem ^= low
+                near &= adj[low.bit_length() - 1]
+            cliques += 1
+        return self.open[d] if cliques > room else 0
 
 
 def _share(searches: list[_Branch], nodes: int, node_budget: float) -> tuple[int, bool]:

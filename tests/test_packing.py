@@ -548,12 +548,18 @@ def test_hyper_search_matches_recursive_form(data, n):
 
 
 def test_hyper_search_closes_on_its_budget():
-    # {4, 12, 14, 18} on Z_20, n = 3: the search closes in 869 nodes, inside a
+    # {4, 12, 14, 18} on Z_20, n = 3: the search closes in 72 nodes, inside a
     # budget of 5,000
     g = ZModGroup(20)
     r = pack_exact(g.set_of([4, 12, 14, 18]), TrivialIdeal(), list(range(20)), 3, node_budget=5000)
-    assert (r.value, r.flag, r.stats["nodes"]) == (10, "exact", 869)
+    assert (r.value, r.flag, r.stats["nodes"]) == (10, "exact", 72)
     assert r.family == [0, 1, 4, 5, 8, 9, 12, 13, 16, 17]
+    # {0, 1, 12} on Z_22 stays below its counting cap of 14; a search of the
+    # whole tree takes 19,091 nodes to close, one holding candidate 0 and
+    # cut by the link-graph cliques 1,472
+    r = pack_exact(ZModGroup(22).set_of([0, 1, 12]), TrivialIdeal(), list(range(22)), 3, node_budget=5000)
+    assert (r.value, r.flag, r.stats["nodes"]) == (11, "exact", 1472)
+    assert r.family == list(range(11))
 
 
 def test_deep_search_leaves_recursion_limit_alone():
