@@ -671,6 +671,7 @@ class _Open:
         self.n = n
         self.open = [full]
         self.adj = [[0] * len(links)]
+        self.rows: dict[tuple, list[int]] = {}  # by key S, links[u][S] for every u
         self.branch: _Branch
 
     def completing(self, p: int, members: Iterable[int]) -> int:
@@ -686,16 +687,21 @@ class _Open:
         d = len(cur)
         del self.open[d:], self.adj[d:]
         rem = self.open[-1] & -(2 << p) & ~self.adj[-1][p]
-        adj = self.adj[-1][:]
+        room = len(self.branch.best) - d  # a family past the incumbent takes more than this
+        if rem.bit_count() <= room:
+            return 0
+        adj = self.adj[-1]
         # the edges new to the link graph hold p, the highest of ``cur``
         for rest in itertools.combinations(cur[:-1], self.n - 3):
-            for u in bitops.iter_bits(rem):
-                adj[u] |= self.links[u].get(rest + (p,), 0)
+            key = rest + (p,)
+            row = self.rows.get(key)
+            if row is None:
+                row = self.rows[key] = [link.get(key, 0) for link in self.links]
+            adj = [a | b for a, b in zip(adj, row)]
         self.open.append(rem)
         self.adj.append(adj)
-        room = len(self.branch.best) - d  # a family past the incumbent takes more than this
         cliques = 0
-        while rem and cliques <= room:
+        while cliques <= room < cliques + rem.bit_count():  # else the count is settled
             low = rem & -rem
             rem ^= low
             near = adj[low.bit_length() - 1] & rem
