@@ -68,6 +68,10 @@ CASES = {
     ],
     # an n = 3 search on Z_N that runs to its close
     "pack-mod20-n3": ["pack", "--set", "list{4,12,14,18}", "--mod", "20", "--n", "3", "--shifts", "0..19", "--exact"],
+    # an n = 3 search on a window with negative shifts
+    "pack-tri-n3-negative": [
+        "pack", "--name", "tri", "--n", "3", "--shifts=-8..8", "--window", "0:30000", "--exact",
+    ],
     # usage errors (exit 2)
     "pack-f2-long-translator": [
         "pack", "--set", "compl(empty)", "--depth", "2", "--translators", "e,aaa,bbb", "--n", "2", "--exact",
