@@ -16,11 +16,13 @@ rows into search order as Python-int bitsets.  Under the trivial ideal, on
 Z_N, Cayley tables and Z windows with non-negative shifts, a pair conflict
 depends on one difference d = g^-1 h alone, and each difference is decided
 once, as the least witness u in A with d·u in A (mode ``difference-pairs``).
-The free group, windows with a negative shift, n >= 3 and the other ideals
-decide combination by combination on translate bitsets.  One
-branch-and-bound (``_Branch``) searches every arity, on an explicit stack,
-so its depth is bounded by the candidate count and not by the interpreter's
-recursion limit, which is left alone.
+The free group, windows with a negative shift and the other ideals decide
+pair by pair on translate bitsets, each cut to its exact core.  For n >= 3
+one walk over the combinations intersects each prefix of translates once and
+skips every prefix that meets nowhere.  One branch-and-bound (``_Branch``)
+searches every arity, on an explicit stack, so its depth is bounded by the
+candidate count and not by the interpreter's recursion limit, which is left
+alone.
 
 Flags: "exact" (search completed), "lower-bound" (node budget hit first),
 "saturated" (the family exhausts every candidate — the finite stand-in for
@@ -147,8 +149,9 @@ class ConflictOracle:
     positions.
 
     Everything else (the free group, a window with a negative shift, n >= 3,
-    every other ideal) intersects cached translate bitsets and asks the
-    ideal.  The candidates are taken as given: ``pack_exact`` and
+    every other ideal) intersects cached translate bitsets, each cut to its
+    exact core, and decides by the count where ``cardinality_cutoff`` allows,
+    else by ``member``.  The candidates are taken as given: ``pack_exact`` and
     ``pack_greedy`` check them (``Group.check_translators``) before building
     an oracle.
     """
@@ -163,7 +166,7 @@ class ConflictOracle:
         self._mode = "general"
         size = self.group.size
         # raises the usage errors ``member`` would at the first edge
-        cutoff = ideal.cardinality_cutoff(self.group)
+        self._cutoff = cutoff = ideal.cardinality_cutoff(self.group)
         # each element of an exact carrier a candidate once, membership a
         # matter of the count: translation maps every family onto one holding
         # any given candidate (read by n >= 3 searches only)
@@ -180,12 +183,9 @@ class ConflictOracle:
                 # a pair further apart than the window never meets on its
                 # core, so differences clip to the window
                 differences = min(max(self.cands, default=0), size - 1) + 1
-        # translate cache for the general path, if it fits
-        self._tcache: Optional[dict] = None
         if self._mode == "general":
-            est = (size // 8 + 1) * len(self.cands)
-            if est <= _CACHE_BYTE_LIMIT:
-                self._tcache = {}
+            # translate cache for the general path, if it fits
+            self._tcache = {} if (size // 8 + 1) * len(self.cands) <= _CACHE_BYTE_LIMIT else None
             return
         self._positions = bitops.positions_from_bits(A.bits, size)
         # membership, with one slot past the universe that stays False: the
@@ -269,13 +269,43 @@ class ConflictOracle:
         return max(1, bitops.CHUNK_ITEMS // max(1, len(self.cands)))
 
     def _translate(self, idx: int) -> int:
-        if self._tcache is not None:
-            bits = self._tcache.get(idx)
-            if bits is None:
-                bits = self.group.translate_bits(self.cands[idx], self.A.bits)[0]
-                self._tcache[idx] = bits
-            return bits
-        return self.group.translate_bits(self.cands[idx], self.A.bits)[0]
+        """Candidate ``idx``'s translate of A on its own exact core; the core
+        of several shifts is the meet of theirs, so these AND to an edge's."""
+        cache = self._tcache if self._tcache is not None else {}
+        bits = cache.get(idx)
+        if bits is None:
+            g = self.cands[idx]
+            bits = cache[idx] = self.group.translate_bits(g, self.A.bits)[0] & self.group.exact_core_mask([g])
+        return bits
+
+    def _conflicts(self, inter: int) -> bool:
+        """Whether an intersection on its exact core lies outside the ideal."""
+        if self._cutoff is not None:
+            return inter.bit_count() > self._cutoff
+        return not self.ideal.member(MaterializedSet(self.group, inter))
+
+    def _edges(self) -> list[tuple[int, ...]]:
+        """The conflicting n-subsets in ``itertools.combinations`` order, as
+        ``is_edge`` decides them: each prefix's translates are intersected
+        once, and a prefix meeting nowhere (every ideal holds the empty set)
+        conflicts with nothing, so its subtree is skipped."""
+        m, n, translate = len(self.cands), self.n, self._translate
+        edges: list[tuple[int, ...]] = []
+        combo, inters, i = [], [-1], 0  # a prefix, its prefixes' translates ANDed, the next candidate
+        while combo or i <= m - n:
+            if i > m - n + len(combo):  # too few candidates left to fill the combination
+                i = combo.pop() + 1
+                inters.pop()
+                continue
+            inter = inters[-1] & translate(i)
+            if inter and len(combo) == n - 2:  # a prefix of n-1: AND in each last translate
+                head = (*combo, i)
+                edges.extend(head + (k,) for k in range(i + 1, m) if self._conflicts(inter & translate(k)))
+            elif inter:
+                combo.append(i)
+                inters.append(inter)
+            i += 1
+        return edges
 
     # -- the oracle --------------------------------------------------------
     def is_edge(self, combo: tuple[int, ...]) -> bool:
@@ -292,15 +322,12 @@ class ConflictOracle:
                     self._row_cache[k] = packed.tobytes()
                 row = self._row_cache[i]
             return bool(row[j >> 3] >> (j & 7) & 1)
-        inter = self._translate(combo[0])
-        for i in combo[1:]:
+        inter = -1
+        for i in combo:
             inter &= self._translate(i)
             if inter == 0:
                 break
-        shifts = [self.cands[i] for i in combo]
-        core = self.group.exact_core_mask(shifts)
-        piece = MaterializedSet(self.group, inter & core)
-        return not self.ideal.member(piece)
+        return self._conflicts(inter)
 
     def pair_rows(self) -> tuple[list[int], list[int], int]:
         """The n=2 conflict graph as bitset rows in search order, and its
@@ -350,9 +377,10 @@ class ConflictOracle:
         """The n >= 3 conflict hypergraph in search order: ``order`` as for
         pairs, by edge degree; ``links[p]`` maps each increasing tuple S of
         n-2 positions to the mask of the k that make S, p, k an edge.  Every
-        n-subset counts as one evaluated edge."""
+        n-subset of the walk (``_edges``) counts as one evaluated edge."""
         m = len(self.cands)
-        edges = [combo for combo in itertools.combinations(range(m), self.n) if self.is_edge(combo)]
+        edges = self._edges()
+        self.edges_evaluated += math.comb(m, self.n)
         deg = Counter(itertools.chain.from_iterable(edges))
         order = sorted(range(m), key=lambda i: (-deg[i], i))
         pos_of = sorted(range(m), key=order.__getitem__)
@@ -388,10 +416,7 @@ def _greedy_indices(oracle: ConflictOracle, m: int, n: int) -> list[int]:
     only until one combination with the family so far conflicts."""
     family: list[int] = []
     for ci in range(m):
-        for sub in itertools.combinations(family, n - 1):
-            if oracle.is_edge(sub + (ci,)):
-                break
-        else:
+        if not any(oracle.is_edge(sub + (ci,)) for sub in itertools.combinations(family, n - 1)):
             family.append(ci)
     return family
 

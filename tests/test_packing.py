@@ -2,16 +2,18 @@
 
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealpack import bitops
+from idealpack import bitops, packing
 from idealpack.errors import BudgetExceeded, InvalidParam, LengthBudgetTooSmall, ShiftOutOfBudget
 from idealpack.groups import CayleyGroup, FreeGroup2, MaterializedSet, Window, ZModGroup, ZWindowGroup
-from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, TrivialIdeal
+from idealpack.ideals import DensityZeroIdeal, FiniteSetsIdeal, GeneratedIdeal, TrivialIdeal
 from idealpack.packing import (
     ConflictOracle,
     _band_cap,
@@ -24,6 +26,7 @@ from idealpack.packing import (
     pack_greedy,
 )
 from idealpack.reports import strip_timing
+from idealpack.setexpr import parse_set_expr
 from test_groups import dihedral_table, symmetric_table
 
 
@@ -560,6 +563,66 @@ def test_hyper_search_closes_on_its_budget():
     r = pack_exact(ZModGroup(22).set_of([0, 1, 12]), TrivialIdeal(), list(range(22)), 3, node_budget=5000)
     assert (r.value, r.flag, r.stats["nodes"]) == (11, "exact", 1472)
     assert r.family == list(range(11))
+
+
+def _literal_edge(A, ideal, shifts):
+    """The definition of a conflict: translate A by each shift, intersect,
+    keep the exact core of all the shifts and ask the ideal."""
+    group = A.group
+    inter = group.full_mask
+    for g in shifts:
+        inter &= group.translate_bits(g, A.bits)[0]
+    return not ideal.member(MaterializedSet(group, inter & group.exact_core_mask(shifts)))
+
+
+def _walk_case(data):
+    """Z_N up to 16, S3 or D5, a window with shifts of either sign or none
+    negative, or F2 at depth 4; with an ideal proper on that carrier."""
+    kind = data.draw(st.sampled_from(["z-mod", "cayley", "window", "window-negative", "free"]), label="kind")
+    ideals = [TrivialIdeal()]
+    if kind == "z-mod":
+        g = ZModGroup(data.draw(st.integers(4, 16), label="N"))
+        cands = data.draw(st.lists(st.integers(0, g.size - 1), unique=True, min_size=4, max_size=11), label="cands")
+        ideals.append(DensityZeroIdeal(lengths=(4,), threshold=Fraction(1, 4)))
+    elif kind == "cayley":
+        g = CayleyGroup(*data.draw(st.sampled_from(_HYPER_TABLES), label="table"))
+        cands = data.draw(st.permutations(range(g.size)), label="cands")[:11]
+    elif kind == "free":
+        g = FreeGroup2(4)
+        ranks = data.draw(st.lists(st.integers(0, 24), unique=True, min_size=4, max_size=10), label="ranks")
+        cands = [g.elem_at(r) for r in ranks]
+        ideals.append(FiniteSetsIdeal(cutoff=data.draw(st.integers(1, 4), label="cutoff")))
+    else:
+        margin = data.draw(st.integers(3, 9), label="margin")
+        g = ZWindowGroup(Window(0, data.draw(st.integers(30, 60), label="hi"), margin=margin))
+        low = -margin if kind == "window-negative" else 0
+        cands = data.draw(st.lists(st.integers(low, margin), unique=True, min_size=4, max_size=11), label="cands")
+        ideals += [FiniteSetsIdeal(cutoff=data.draw(st.integers(1, 4), label="cutoff")),
+                   DensityZeroIdeal(lengths=(8,), threshold=Fraction(1, 8)),
+                   GeneratedIdeal([parse_set_expr("evens")], e_bound=1, shift_range=1, slack=2)]
+    # a few elements, whose translates often meet nowhere, or about half the carrier
+    sparse = st.sets(st.integers(0, g.size - 1), max_size=12).map(lambda ps: sum(1 << i for i in ps))
+    half = st.integers(0, 2**32).map(lambda seed: random.Random(seed).getrandbits(g.size))
+    A = MaterializedSet(g, data.draw(st.one_of(sparse, half), label="A"))
+    return A, data.draw(st.sampled_from(ideals), label="ideal"), list(cands)
+
+
+# the walk behind ``hyper_rows`` and the general ``is_edge`` decide every
+# combination as the definition does, with the translate cache and without
+@pytest.mark.parametrize("cache_limit", [packing._CACHE_BYTE_LIMIT, 0])
+@given(data=st.data(), n=st.sampled_from([3, 4]))
+@settings(max_examples=80, deadline=None)
+def test_hyper_walk_matches_literal_definition(cache_limit, data, n):
+    A, ideal, cands = _walk_case(data)
+    want = [c for c in itertools.combinations(range(len(cands)), n)
+            if _literal_edge(A, ideal, [cands[i] for i in c])]
+    with mock.patch.object(packing, "_CACHE_BYTE_LIMIT", cache_limit):
+        walk, single = ConflictOracle(A, ideal, cands, n), ConflictOracle(A, ideal, cands, n)
+        assert (walk._tcache is None) == (cache_limit == 0 and len(cands) > 0)
+        assert walk._edges() == want
+        walk.hyper_rows()
+        assert walk.edges_evaluated == math.comb(len(cands), n)
+        assert [c for c in itertools.combinations(range(len(cands)), n) if single.is_edge(c)] == want
 
 
 def test_deep_search_leaves_recursion_limit_alone():
