@@ -269,8 +269,8 @@ class ConflictOracle:
         return max(1, bitops.CHUNK_ITEMS // max(1, len(self.cands)))
 
     def _translate(self, idx: int) -> int:
-        """Candidate ``idx``'s translate of A on its own exact core; the core
-        of several shifts is the meet of theirs, so these AND to an edge's."""
+        """Candidate ``idx``'s translate of A cut to its exact core; the core of
+        several shifts is the meet of theirs, so these AND to a combination's."""
         cache = self._tcache if self._tcache is not None else {}
         bits = cache.get(idx)
         if bits is None:

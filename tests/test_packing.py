@@ -78,11 +78,14 @@ def test_zmod_pair_oracle_matches_literal(ps):
         assert fast.is_edge((i, j)) == ((bi & bj) != 0)
 
 
-def _literal_pair_edge(A, ideal, g, h):
-    """The definition of a pair conflict: translate, intersect, ask the ideal."""
+def _literal_edge(A, ideal, shifts):
+    """The definition of a conflict: translate A by each shift, intersect,
+    keep the exact core of all the shifts and ask the ideal."""
     group = A.group
-    inter = group.translate_bits(g, A.bits)[0] & group.translate_bits(h, A.bits)[0]
-    return not ideal.member(MaterializedSet(group, inter))
+    inter = group.full_mask
+    for g in shifts:
+        inter &= group.translate_bits(g, A.bits)[0]
+    return not ideal.member(MaterializedSet(group, inter & group.exact_core_mask(shifts)))
 
 
 _ELEMENT_CARRIERS = [CayleyGroup(*t) for t in (symmetric_table(4), dihedral_table(5), dihedral_table(11))] + [
@@ -105,12 +108,12 @@ def test_element_pair_table_matches_literal_intersection(data):
     if ideal.kind == "finite-sets":
         # finite-sets is not proper on a finite group
         with pytest.raises(InvalidParam):
-            _literal_pair_edge(A, ideal, 0, 0)
+            _literal_edge(A, ideal, [0, 0])
         with pytest.raises(InvalidParam):
             ConflictOracle(A, ideal, cands, 2)
         return
     m = len(cands)
-    edge = [[i != j and _literal_pair_edge(A, ideal, cands[i], cands[j]) for j in range(m)] for i in range(m)]
+    edge = [[i != j and _literal_edge(A, ideal, [cands[i], cands[j]]) for j in range(m)] for i in range(m)]
     bulk = ConflictOracle(A, ideal, cands, 2)
     assert bulk._mode == "difference-pairs"
     order, rows, _ = bulk.pair_rows()
@@ -129,7 +132,7 @@ def test_element_pair_table_on_a_large_set():
     cands = [3, -8, 1205, 44, 617, 2, 999, -1]
     oracle = ConflictOracle(A, TrivialIdeal(), cands, 2)
     order, rows, _ = oracle.pair_rows()
-    edge = [[i != j and _literal_pair_edge(A, TrivialIdeal(), g_, h) for j, h in enumerate(cands)]
+    edge = [[i != j and _literal_edge(A, TrivialIdeal(), [g_, h]) for j, h in enumerate(cands)]
             for i, g_ in enumerate(cands)]
     for p, i in enumerate(order):
         assert rows[p] == sum(1 << q for q, j in enumerate(order) if edge[i][j])
@@ -565,16 +568,6 @@ def test_hyper_search_closes_on_its_budget():
     assert r.family == list(range(11))
 
 
-def _literal_edge(A, ideal, shifts):
-    """The definition of a conflict: translate A by each shift, intersect,
-    keep the exact core of all the shifts and ask the ideal."""
-    group = A.group
-    inter = group.full_mask
-    for g in shifts:
-        inter &= group.translate_bits(g, A.bits)[0]
-    return not ideal.member(MaterializedSet(group, inter & group.exact_core_mask(shifts)))
-
-
 def _walk_case(data):
     """Z_N up to 16, S3 or D5, a window with shifts of either sign or none
     negative, or F2 at depth 4; with an ideal proper on that carrier."""
@@ -618,7 +611,7 @@ def test_hyper_walk_matches_literal_definition(cache_limit, data, n):
             if _literal_edge(A, ideal, [cands[i] for i in c])]
     with mock.patch.object(packing, "_CACHE_BYTE_LIMIT", cache_limit):
         walk, single = ConflictOracle(A, ideal, cands, n), ConflictOracle(A, ideal, cands, n)
-        assert (walk._tcache is None) == (cache_limit == 0 and len(cands) > 0)
+        assert (walk._tcache is None) == (cache_limit == 0)
         assert walk._edges() == want
         walk.hyper_rows()
         assert walk.edges_evaluated == math.comb(len(cands), n)
