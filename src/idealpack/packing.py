@@ -16,13 +16,13 @@ rows into search order as Python-int bitsets.  Under the trivial ideal, on
 Z_N, Cayley tables and Z windows with non-negative shifts, a pair conflict
 depends on one difference d = g^-1 h alone, and each difference is decided
 once, as the least witness u in A with d·u in A (mode ``difference-pairs``).
-The free group, windows with a negative shift and the other ideals decide
-pair by pair on translate bitsets, each cut to its exact core.  For n >= 3
-one walk over the combinations intersects each prefix of translates once and
-skips every prefix that meets nowhere.  One branch-and-bound (``_Branch``)
-searches every arity, on an explicit stack, so its depth is bounded by the
-candidate count and not by the interpreter's recursion limit, which is left
-alone.
+The free group, windows with a negative shift, n >= 3 and the other ideals
+decide on translate bitsets, each cut to its exact core; the n >= 3 rows
+come from one walk over the combinations, which intersects each prefix of
+translates once and skips every prefix that meets nowhere.  One
+branch-and-bound (``_Branch``) searches every arity, on an explicit stack,
+so its depth is bounded by the candidate count and not by the interpreter's
+recursion limit, which is left alone.
 
 Flags: "exact" (search completed), "lower-bound" (node budget hit first),
 "saturated" (the family exhausts every candidate — the finite stand-in for
