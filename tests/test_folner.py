@@ -203,3 +203,17 @@ def test_counting_bound_rejects_conflicting_family():
     evens = g.set_of(range(0, 64, 2))
     with pytest.raises(PreconditionFailed):
         counting_bound_check(evens, [0, 2], 2)  # translates coincide, not disjoint
+
+
+def test_counting_bound_error_order():
+    # every translate is built before the first intersection: a shift past
+    # the margin is reported ahead of the pair (0, 2) that meets
+    g = ZWindowGroup(Window(0, 9999, margin=64))
+    evens = g.set_of(range(0, 10000, 2))
+    with pytest.raises(ShiftOutOfBudget):
+        counting_bound_check(evens, [0, 2, 100], 2)
+    # on Z_64 the translator 64 is the identity again: not disjoint, not a
+    # usage error
+    z64 = ZModGroup(64)
+    with pytest.raises(PreconditionFailed):
+        counting_bound_check(z64.set_of(range(0, 64, 2)), [0, 64], 2)

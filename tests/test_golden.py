@@ -52,6 +52,8 @@ CASES = {
     ],
     "small-f2": ["small", "--set", "f2start(a)", "--depth", "6", "--m", "2", "--s", "1"],
     "large-f2": ["large", "--set", "compl(f2start(a))", "--depth", "6"],
+    # an F2 family whose translates meet at n = 3, found past two empty prefixes
+    "f2-depth8-a-n3": ["f2", "--depth", "8", "--base", "A", "--translators", "e,b,bb,a,ba", "--n", "3"],
     "pack-f2-identity": [
         "pack", "--set", "f2start(a)", "--depth", "5", "--translators", "e,a,b,ba", "--n", "2", "--exact",
     ],
