@@ -8,7 +8,7 @@ construction and position extraction round-trip through numpy byte buffers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "bits_from_array",
     "sorted_unique",
     "iter_bits",
+    "meeting_subsets",
     "CHUNK_ITEMS",
 ]
 
@@ -126,3 +127,29 @@ def iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def meeting_subsets(m: int, n: int, bits_of: Callable[[int], int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(combo, inter)`` for each n-subset of ``range(m)`` (n >= 2) whose
+    bitsets ``bits_of(i)`` meet, ``inter`` their intersection, in
+    ``itertools.combinations`` order.  Each prefix is intersected once, and
+    the subsets under a prefix that meets nowhere are skipped.  ``bits_of(i)``
+    is called once the walk reaches i, for each prefix that does; caching is
+    the caller's."""
+    combo, inters, i = [], [-1], 0  # a prefix, its prefixes' bitsets ANDed, the next index
+    while combo or i <= m - n:
+        if i > m - n + len(combo):  # too few indices left to fill the subset
+            i = combo.pop() + 1
+            inters.pop()
+            continue
+        inter = inters[-1] & bits_of(i)
+        if inter and len(combo) == n - 2:  # a prefix of n-1: each last index in turn
+            head = (*combo, i)
+            for k in range(i + 1, m):
+                last = inter & bits_of(k)
+                if last:
+                    yield head + (k,), last
+        elif inter:
+            combo.append(i)
+            inters.append(inter)
+        i += 1

@@ -17,7 +17,8 @@ the integer-window core region.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -98,7 +99,9 @@ def family_disjoint(
     n: int,
     base_label: Optional[str] = None,
 ) -> DisjointnessReport:
-    """Check all n-subsets of translators for empty translate intersection.
+    """The first n-subset of translators, in combinations order, whose
+    translates meet (``bitops.meeting_subsets``), each translate built when
+    the walk first reaches it; ``subsets_checked`` is its place in that order.
 
     Exact on the core ball of radius depth - max translator length; the
     group's ``check_translators`` raises LengthBudgetTooSmall when that
@@ -114,36 +117,33 @@ def family_disjoint(
     group.check_translators(trans)
     core_size = words.ball_size(group.depth - max((len(t) for t in trans), default=0))
 
-    # membership[i]: bitset over core ranks r with (t_i)^-1 * w_r in base,
-    # read straight off the base's bytes (the ball is never unpacked)
+    # membership(i): bitset over core ranks r with (t_i)^-1 * w_r in base,
+    # read straight off the base's bytes (the ball is never unpacked), built
+    # once the walk first reaches translator i
     base_bytes = np.frombuffer(base.bits.to_bytes((group.size + 7) // 8, "little"), dtype=np.uint8)
     core = np.arange(core_size, dtype=np.int64)
-    membership = []
-    for t in trans:
-        v, _ = words.left_mul_ranks(words.invert_word(t), core, group.depth)
-        hit = (base_bytes[v >> 3] >> (v & 7).astype(np.uint8)) & 1
-        membership.append(bitops.bits_from_positions(np.flatnonzero(hit), core_size))
 
-    checked = 0
-    violating = None
-    witness = None
-    for combo in itertools.combinations(range(len(trans)), n):
-        inter = membership[combo[0]]
-        for i in combo[1:]:
-            inter &= membership[i]
-            if inter == 0:
-                break
-        checked += 1
-        if inter:
-            violating = [trans[i] for i in combo]
-            w = words.word_at_rank((inter & -inter).bit_length() - 1)
-            # the witness is a certificate: confirm it by word arithmetic,
-            # independently of the rank kernel that found it
-            for i in combo:
-                if not base.contains(words.mul_words(words.invert_word(trans[i]), w)):
-                    raise RuntimeError(f"witness {w!r} is not in the translate by {trans[i]!r}")
-            witness = w
-            break
+    @functools.cache
+    def membership(i: int) -> int:
+        v, _ = words.left_mul_ranks(words.invert_word(trans[i]), core, group.depth)
+        hit = (base_bytes[v >> 3] >> (v & 7).astype(np.uint8)) & 1
+        return bitops.bits_from_positions(np.flatnonzero(hit), core_size)
+
+    m = len(trans)
+    checked, violating, witness = math.comb(m, n), None, None
+    for combo, inter in bitops.meeting_subsets(m, n, membership):
+        # the first subset that meets; those after it, which are left
+        # unchecked, first exceed it at some entry j
+        checked -= sum(math.comb(m - 1 - c, n - j) for j, c in enumerate(combo))
+        violating = [trans[i] for i in combo]
+        w = words.word_at_rank((inter & -inter).bit_length() - 1)
+        # the witness is a certificate: confirm it by word arithmetic,
+        # independently of the rank kernel that found it
+        for i in combo:
+            if not base.contains(words.mul_words(words.invert_word(trans[i]), w)):
+                raise RuntimeError(f"witness {w!r} is not in the translate by {trans[i]!r}")
+        witness = w
+        break
 
     notes = []
     if base_label == "B":

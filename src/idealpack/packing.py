@@ -17,9 +17,10 @@ Z_N, Cayley tables and Z windows with non-negative shifts, a pair conflict
 depends on one difference d = g^-1 h alone, and each difference is decided
 once, as the least witness u in A with d·u in A (mode ``difference-pairs``).
 The free group, windows with a negative shift, n >= 3 and the other ideals
-decide on translate bitsets, each cut to its exact core; the n >= 3 rows
-come from one walk over the combinations, which intersects each prefix of
-translates once and skips every prefix that meets nowhere.  One
+decide on translate bitsets, each cut to its exact core; their rows, pairs
+and n >= 3 alike, come from one walk over the combinations
+(``bitops.meeting_subsets``), which intersects each prefix of translates
+once and skips every prefix that meets nowhere.  One
 branch-and-bound (``_Branch``) searches every arity, on an explicit stack,
 so its depth is bounded by the candidate count and not by the interpreter's
 recursion limit, which is left alone.
@@ -284,29 +285,6 @@ class ConflictOracle:
             return inter.bit_count() > self._cutoff
         return not self.ideal.member(MaterializedSet(self.group, inter))
 
-    def _edges(self) -> list[tuple[int, ...]]:
-        """The conflicting n-subsets in ``itertools.combinations`` order, as
-        ``is_edge`` decides them: each prefix's translates are intersected
-        once, and a prefix meeting nowhere (every ideal holds the empty set)
-        conflicts with nothing, so its subtree is skipped."""
-        m, n, translate = len(self.cands), self.n, self._translate
-        edges: list[tuple[int, ...]] = []
-        combo, inters, i = [], [-1], 0  # a prefix, its prefixes' translates ANDed, the next candidate
-        while combo or i <= m - n:
-            if i > m - n + len(combo):  # too few candidates left to fill the combination
-                i = combo.pop() + 1
-                inters.pop()
-                continue
-            inter = inters[-1] & translate(i)
-            if inter and len(combo) == n - 2:  # a prefix of n-1: AND in each last translate
-                head = (*combo, i)
-                edges.extend(head + (k,) for k in range(i + 1, m) if self._conflicts(inter & translate(k)))
-            elif inter:
-                combo.append(i)
-                inters.append(inter)
-            i += 1
-        return edges
-
     # -- the oracle --------------------------------------------------------
     def is_edge(self, combo: tuple[int, ...]) -> bool:
         """combo: strictly increasing candidate indices, len == n."""
@@ -339,18 +317,19 @@ class ConflictOracle:
         |i - j| over conflicting candidates i and j (0 without conflicts).
         Every pair counts as one evaluated edge.  The per-difference mode
         builds bool blocks of rows with numpy, the general mode one bool
-        matrix by asking ``is_edge`` pair by pair; both then go through one
-        ordering and permutation.
+        matrix from the walk over meeting pairs
+        (``bitops.meeting_subsets``); both then go through one ordering and
+        permutation.
         """
         m = len(self.cands)
+        self.edges_evaluated += m * (m - 1) // 2
         if self._mode == "general":
+            walk = bitops.meeting_subsets(m, 2, self._translate)
+            pairs = np.array([ij for ij, inter in walk if self._conflicts(inter)], dtype=np.int64).reshape(-1, 2)
             edges = np.zeros((m, m), dtype=bool)
-            pairs = itertools.combinations(range(m), 2)
-            edges[np.triu_indices(m, 1)] = np.fromiter(map(self.is_edge, pairs), dtype=bool, count=m * (m - 1) // 2)
-            edges |= edges.T
+            edges[pairs[:, 0], pairs[:, 1]] = edges[pairs[:, 1], pairs[:, 0]] = True
             block_of = lambda lo, hi: edges[lo:hi]
         else:
-            self.edges_evaluated += m * (m - 1) // 2
             block_of = self._pair_rows_block
         step = self._row_step()
         packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
@@ -377,9 +356,11 @@ class ConflictOracle:
         """The n >= 3 conflict hypergraph in search order: ``order`` as for
         pairs, by edge degree; ``links[p]`` maps each increasing tuple S of
         n-2 positions to the mask of the k that make S, p, k an edge.  Every
-        n-subset of the walk (``_edges``) counts as one evaluated edge."""
+        n-subset of the walk (``bitops.meeting_subsets``) counts as one
+        evaluated edge."""
         m = len(self.cands)
-        edges = self._edges()
+        walk = bitops.meeting_subsets(m, self.n, self._translate)
+        edges = [combo for combo, inter in walk if self._conflicts(inter)]
         self.edges_evaluated += math.comb(m, self.n)
         deg = Counter(itertools.chain.from_iterable(edges))
         order = sorted(range(m), key=lambda i: (-deg[i], i))

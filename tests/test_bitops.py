@@ -1,5 +1,7 @@
 """Int-bitset helpers."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from idealpack.bitops import (
     bits_from_positions,
     iter_bits,
     mask,
+    meeting_subsets,
     position_chunks,
     positions_from_bits,
     sorted_unique,
@@ -93,3 +96,31 @@ def test_positions_from_bits_on_a_large_universe():
         got = positions_from_bits(bits, size)
         assert got.dtype == np.int64
         assert got.tolist() == np.flatnonzero(arr).tolist()
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(0, 63)), max_size=9),
+    st.integers(2, 4),
+)
+def test_meeting_subsets_is_the_filtered_combinations(bitsets, n):
+    # zero bitsets, drawn often, meet nothing: the walk skips under them
+    m = len(bitsets)
+    want = []
+    for combo in itertools.combinations(range(m), n):
+        inter = -1
+        for i in combo:
+            inter &= bitsets[i]
+        if inter:
+            want.append((combo, inter))
+    asked = []
+
+    def bits_of(i):
+        asked.append(i)
+        return bitsets[i]
+
+    walk = meeting_subsets(m, n, bits_of)
+    first = next(walk, None)
+    if first is not None:
+        # nothing past the first subset's last index was built yet
+        assert max(asked) == first[0][-1]
+    assert ([] if first is None else [first, *walk]) == want

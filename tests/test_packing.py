@@ -612,8 +612,11 @@ def test_hyper_walk_matches_literal_definition(cache_limit, data, n):
     with mock.patch.object(packing, "_CACHE_BYTE_LIMIT", cache_limit):
         walk, single = ConflictOracle(A, ideal, cands, n), ConflictOracle(A, ideal, cands, n)
         assert (walk._tcache is None) == (cache_limit == 0)
-        assert walk._edges() == want
-        walk.hyper_rows()
+        order, links = walk.hyper_rows()
+        # each edge, read back from the link of each of its positions
+        got = {tuple(sorted(order[q] for q in (p, *rest, k)))
+               for p, link in enumerate(links) for rest, ks in link.items() for k in bitops.iter_bits(ks)}
+        assert sorted(got) == want
         assert walk.edges_evaluated == math.comb(len(cands), n)
         assert [c for c in itertools.combinations(range(len(cands)), n) if single.is_edge(c)] == want
 
