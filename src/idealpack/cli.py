@@ -45,7 +45,7 @@ from .largesmall import LargeBounds, SmallBounds, is_ideal_small, is_large
 from .packing import pack_exact, pack_greedy
 from .reports import envelope, render_json, render_text, show_elements
 from .setexpr import (
-    Catalog, SetExpr, default_catalog, free_names, load_catalog, materialize, parse_set_expr, resolve,
+    Catalog, SetExpr, default_catalog, load_catalog, materialize, parse_set_expr,
 )
 
 __all__ = ["main"]
@@ -155,11 +155,7 @@ def _get_catalog(args, cfg) -> Catalog:
 
 
 def _resolve_expr(text: str, catalog: Catalog) -> SetExpr:
-    expr = parse_set_expr(text)
-    names = free_names(expr)
-    if names:
-        expr = resolve(expr, {n: catalog[n] for n in names})
-    return expr
+    return catalog.close(parse_set_expr(text))
 
 
 def _the_set(args, catalog: Catalog, group: Group):

@@ -13,6 +13,9 @@ Grammar (LL(1), whitespace-insensitive, case-sensitive names)::
 
 A bare identifier that is not a reserved name is a reference into a catalog
 of named sets and must be resolved (:func:`resolve`) before materialization.
+A tree nests at most ``MAX_DEPTH`` levels, its names resolved: the parser
+and the catalog raise a usage error past that, since every walk over a tree
+recurses once a level.
 
 Materialization is one recursive evaluation to a bitset and a truncation
 tally, the same on every carrier.  ``union``, ``inter``, ``diff`` and
@@ -66,6 +69,7 @@ __all__ = [
     "materialize",
     "resolve",
     "free_names",
+    "MAX_DEPTH",
     "Catalog",
     "parse_catalog",
     "load_catalog",
@@ -117,6 +121,9 @@ RESERVED = frozenset(_NULLARY) | frozenset(_BINARY_COMBS) | {
 }
 
 _F2_LETTERS = frozenset(words.ALPHABET)
+
+# the most levels a tree may nest, a leaf being one
+MAX_DEPTH = 128
 
 
 # --------------------------------------------------------------------------
@@ -171,8 +178,10 @@ def _parse_int(sc: _Scanner) -> int:
     return int(sc.take("int", "integer")[1])
 
 
-def _parse_expr(sc: _Scanner) -> SetExpr:
+def _parse_expr(sc: _Scanner, depth: int = 1) -> SetExpr:
     kind, name, off = sc.take("ident", "set expression")
+    if depth > MAX_DEPTH:
+        raise SetSyntaxError(f"set expression nested more than {MAX_DEPTH} deep", off)
     if name in _NULLARY:
         return Prim(name)
     if name in ("ap", "interval"):
@@ -206,19 +215,19 @@ def _parse_expr(sc: _Scanner) -> SetExpr:
         return Prim("f2start", (letter,))
     if name in _BINARY_COMBS:
         sc.take("(")
-        left = _parse_expr(sc)
+        left = _parse_expr(sc, depth + 1)
         sc.take(",")
-        right = _parse_expr(sc)
+        right = _parse_expr(sc, depth + 1)
         sc.take(")")
         return Combine(name, (left, right))
     if name == "compl":
         sc.take("(")
-        inner = _parse_expr(sc)
+        inner = _parse_expr(sc, depth + 1)
         sc.take(")")
         return Combine("compl", (inner,))
     if name == "shift":
         sc.take("(")
-        inner = _parse_expr(sc)
+        inner = _parse_expr(sc, depth + 1)
         sc.take(",")
         tk, tv, toff = sc.take(None)
         if tk == "int":
@@ -335,6 +344,18 @@ def free_names(expr: SetExpr) -> set[str]:
     if isinstance(expr, Shift):
         return free_names(expr.inner)
     return set()
+
+
+def nesting(expr: SetExpr, depth_of: dict[str, int]) -> int:
+    """The levels of ``expr`` once resolved, each name standing for a tree
+    of ``depth_of[name]`` levels."""
+    if isinstance(expr, NameRef):
+        return depth_of[expr.name]
+    if isinstance(expr, Combine):
+        return 1 + max(nesting(a, depth_of) for a in expr.args)
+    if isinstance(expr, Shift):
+        return 1 + nesting(expr.inner, depth_of)
+    return 1
 
 
 def resolve(expr: SetExpr, env: dict[str, SetExpr]) -> SetExpr:
@@ -495,8 +516,9 @@ def materialize(expr: SetExpr, group: Group) -> MaterializedSet:
 class Catalog:
     """Ordered collection of named set expressions, references resolved.
 
-    ``exprs`` holds closed trees (no :class:`NameRef` remains); ``raw`` keeps
-    the trees as written, for faithful re-printing.
+    ``exprs`` holds closed trees (no :class:`NameRef` remains) and ``depth``
+    their levels; ``raw`` keeps the trees as written, for faithful
+    re-printing.
     """
 
     def __init__(self, entries: list[tuple[str, SetExpr]]):
@@ -510,22 +532,38 @@ class Catalog:
             self.names.append(name)
             self.raw[name] = expr
         self.exprs: dict[str, SetExpr] = {}
+        self.depth: dict[str, int] = {}
         for name in self.names:
-            self._close(name, [])
+            self._close(name)
 
-    def _close(self, name: str, trail: list[str]) -> SetExpr:
-        if name in self.exprs:
-            return self.exprs[name]
-        if name in trail:
-            cycle = " -> ".join(trail[trail.index(name):] + [name])
-            raise InvalidParam(f"catalog definitions form a cycle: {cycle}")
-        if name not in self.raw:
-            raise UnknownName(f"unknown set name {name!r}")
-        env = {}
-        for dep in sorted(free_names(self.raw[name])):
-            env[dep] = self._close(dep, trail + [name])
-        closed = resolve(self.raw[name], env)
-        self.exprs[name] = closed
+    def _close(self, name: str) -> None:
+        """Close ``name`` after every name its definition refers to, on an
+        explicit stack, so that a chain of names may be as long as the
+        catalog."""
+        trail = [name]  # names waiting on the next one's definition
+        while trail:
+            top = trail[-1]
+            dep = next((d for d in sorted(free_names(self.raw[top])) if d not in self.exprs), None)
+            if dep is None:
+                self.exprs[top] = self.close(self.raw[top], f"catalog name {top!r}")
+                self.depth[top] = nesting(self.raw[top], self.depth)
+                trail.pop()
+            elif dep in trail:
+                cycle = " -> ".join(trail[trail.index(dep):] + [dep])
+                raise InvalidParam(f"catalog definitions form a cycle: {cycle}")
+            elif dep not in self.raw:
+                raise UnknownName(f"unknown set name {dep!r}")
+            else:
+                trail.append(dep)
+
+    def close(self, expr: SetExpr, what: str = "set expression") -> SetExpr:
+        """``expr`` with each name replaced by its closed tree: UnknownName
+        for a name not in the catalog, InvalidParam for a tree that then
+        nests more than ``MAX_DEPTH`` levels."""
+        closed = resolve(expr, self.exprs)
+        levels = nesting(expr, self.depth)
+        if levels > MAX_DEPTH:
+            raise InvalidParam(f"{what} nests {levels} deep with its names resolved, past {MAX_DEPTH}")
         return closed
 
     def __contains__(self, name: str) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from idealpack.cli import main
 from idealpack.reports import strip_timing
+from idealpack.setexpr import MAX_DEPTH
 
 S3 = str(Path(__file__).parent / "golden" / "s3.table")
 
@@ -254,6 +255,46 @@ def test_unknown_catalog_name_is_usage_error(capsys):
     code, out, err = run(capsys, "pack", "--name", "zzz", "--window", "1000")
     assert code == 2
     assert "zzz" in err
+
+
+def _shifted(inner, times):
+    for _ in range(times):
+        inner = f"shift({inner}, 1)"
+    return inner
+
+
+def _density(capsys, *argv):
+    return run(capsys, "density", *argv, "--window", "0:2000", "--schedule", "64")
+
+
+def test_deep_set_expression_is_usage_error(capsys):
+    code, out, err = _density(capsys, "--set", _shifted("evens", 1000))
+    assert (code, out) == (2, "")
+    assert f"nested more than {MAX_DEPTH} deep" in err
+
+
+def test_deep_catalog_chain_is_usage_error(capsys, tmp_path):
+    # s_i = shift(s_(i-1), 1): each name one level deeper than the last
+    cat = tmp_path / "chain.cat"
+    cat.write_text("s0 = evens\n" + "".join(f"s{i} = shift(s{i - 1}, 1)\n" for i in range(1, 1200)))
+    code, out, err = _density(capsys, "--catalog", str(cat), "--name", "s1199")
+    assert (code, out) == (2, "")
+    assert f"catalog name 's{MAX_DEPTH}' nests {MAX_DEPTH + 1} deep" in err
+
+
+def test_set_expression_at_the_depth_limit_evaluates(capsys, tmp_path):
+    code, doc = run_json(capsys, "density", "--set", _shifted("evens", MAX_DEPTH - 1),
+                         "--window", "0:2000", "--schedule", "64")
+    assert code == 0
+    assert doc["result"]["densities"][0]["density"] == "1/2"
+    # a name that nests MAX_DEPTH - 1 levels, one level more in --set
+    cat = tmp_path / "chain.cat"
+    cat.write_text(f"deep = {_shifted('evens', MAX_DEPTH - 2)}\n")
+    code, out, err = _density(capsys, "--catalog", str(cat), "--set", "shift(deep, 1)")
+    assert code == 0, err
+    code, out, err = _density(capsys, "--catalog", str(cat), "--set", "compl(shift(deep, 1))")
+    assert (code, out) == (2, "")
+    assert f"set expression nests {MAX_DEPTH + 1} deep" in err
 
 
 def test_malformed_window_is_usage_error(capsys):

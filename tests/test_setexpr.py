@@ -316,6 +316,16 @@ def test_catalog_parses_and_closes():
 def test_catalog_rejects_cycles():
     with pytest.raises(InvalidParam):
         parse_catalog("p = shift(q, 1)\nq = shift(p, 1)\n")
+    with pytest.raises(InvalidParam, match="form a cycle: b -> c -> b"):
+        parse_catalog("a = b\nb = union(evens, c)\nc = shift(b, 2)\n")
+
+
+def test_catalog_closes_a_long_chain_written_backwards():
+    # each name refers to the next one down: closing s0 first walks all
+    # 1,500 definitions, with no recursion per name
+    cat = parse_catalog("".join(f"s{i} = s{i + 1}\n" for i in range(1500)) + "s1500 = list{3}\n")
+    assert materialize(cat["s0"], ZW).elements() == [3]
+    assert cat.depth["s0"] == 1
 
 
 def test_default_catalog_names():
