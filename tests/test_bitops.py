@@ -120,7 +120,18 @@ def test_meeting_subsets_is_the_filtered_combinations(bitsets, n):
 
     walk = meeting_subsets(m, n, bits_of)
     first = next(walk, None)
-    if first is not None:
-        # nothing past the first subset's last index was built yet
-        assert max(asked) == first[0][-1]
+    # so far it asked only for what checking each combination up to the
+    # first that meets reads, prefix by prefix, stopping at an empty prefix;
+    # on [1, 2, 2, 0] at n = 2 that is index 3 before (1, 2) is yielded
+    read = set()
+    for combo in itertools.combinations(range(m), n):
+        inter = -1
+        for i in combo:
+            read.add(i)
+            inter &= bitsets[i]
+            if not inter:
+                break
+        if first is not None and combo == first[0]:
+            break
+    assert set(asked) <= read
     assert ([] if first is None else [first, *walk]) == want
