@@ -346,15 +346,15 @@ def free_names(expr: SetExpr) -> set[str]:
     return set()
 
 
-def nesting(expr: SetExpr, depth_of: dict[str, int]) -> int:
+def _nesting(expr: SetExpr, depth_of: dict[str, int]) -> int:
     """The levels of ``expr`` once resolved, each name standing for a tree
     of ``depth_of[name]`` levels."""
     if isinstance(expr, NameRef):
         return depth_of[expr.name]
     if isinstance(expr, Combine):
-        return 1 + max(nesting(a, depth_of) for a in expr.args)
+        return 1 + max(_nesting(a, depth_of) for a in expr.args)
     if isinstance(expr, Shift):
-        return 1 + nesting(expr.inner, depth_of)
+        return 1 + _nesting(expr.inner, depth_of)
     return 1
 
 
@@ -546,7 +546,7 @@ class Catalog:
             dep = next((d for d in sorted(free_names(self.raw[top])) if d not in self.exprs), None)
             if dep is None:
                 self.exprs[top] = self.close(self.raw[top], f"catalog name {top!r}")
-                self.depth[top] = nesting(self.raw[top], self.depth)
+                self.depth[top] = _nesting(self.raw[top], self.depth)
                 trail.pop()
             elif dep in trail:
                 cycle = " -> ".join(trail[trail.index(dep):] + [dep])
@@ -561,7 +561,7 @@ class Catalog:
         for a name not in the catalog, InvalidParam for a tree that then
         nests more than ``MAX_DEPTH`` levels."""
         closed = resolve(expr, self.exprs)
-        levels = nesting(expr, self.depth)
+        levels = _nesting(expr, self.depth)
         if levels > MAX_DEPTH:
             raise InvalidParam(f"{what} nests {levels} deep with its names resolved, past {MAX_DEPTH}")
         return closed
