@@ -534,7 +534,8 @@ class Catalog:
         self.exprs: dict[str, SetExpr] = {}
         self.depth: dict[str, int] = {}
         for name in self.names:
-            self._close(name)
+            if name not in self.exprs:  # not closed yet as an earlier name's reference
+                self._close(name)
 
     def _close(self, name: str) -> None:
         """Close ``name`` after every name its definition refers to, on an
