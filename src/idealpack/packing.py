@@ -355,9 +355,9 @@ class ConflictOracle:
     def hyper_rows(self) -> tuple[list[int], list[dict[tuple, int]]]:
         """The n >= 3 conflict hypergraph in search order: ``order`` as for
         pairs, by edge degree; ``links[p]`` maps each increasing tuple S of
-        n-2 positions to the mask of the k that make S, p, k an edge.  Every
-        n-subset of the walk (``bitops.meeting_subsets``) counts as one
-        evaluated edge."""
+        n-2 positions to the mask of the k that make S, p, k an edge.  The
+        edges come from the walk (``bitops.meeting_subsets``), and every
+        n-subset counts as one evaluated edge."""
         m = len(self.cands)
         walk = bitops.meeting_subsets(m, self.n, self._translate)
         edges = [combo for combo, inter in walk if self._conflicts(inter)]
