@@ -70,6 +70,8 @@ CASES = {
     ],
     # an n = 3 search on Z_N that runs to its close
     "pack-mod20-n3": ["pack", "--set", "list{4,12,14,18}", "--mod", "20", "--n", "3", "--shifts", "0..19", "--exact"],
+    # an n = 4 search on Z_N: the link keys hold two positions
+    "pack-mod16-n4": ["pack", "--set", "list{0,1,3,7}", "--mod", "16", "--n", "4", "--shifts", "0..15", "--exact"],
     # an n = 3 search on a window with negative shifts
     "pack-tri-n3-negative": [
         "pack", "--name", "tri", "--n", "3", "--shifts=-8..8", "--window", "0:30000", "--exact",
