@@ -64,11 +64,13 @@ below its cap.  The search then closes once its incumbent first reaches it,
 with the family an exhausted search reports; only the flag and ``nodes``
 change.  The walk still answers to the counting cap alone.
 
-For n >= 3, a branch closes when the positions open under it split into too
-few cliques of its link graph to beat the incumbent (``_Open``).  Where every
-element of an exact carrier is a candidate once and membership depends on
-the count alone, translation maps each family onto one holding position 0,
-so the search takes it at the root and leaves out the branch without it.
+For n >= 3, one table keyed by (n-2)-tuples of positions holds the
+hypergraph (``hyper_rows``), and ``_Open`` reads it in place: a branch closes
+when the positions open under it split into too few cliques of its link
+graph to beat the incumbent.  Where every element of an exact carrier is a
+candidate once and membership depends on the count alone, translation maps
+each family onto one holding position 0, so the search takes it at the root
+and leaves out the branch without it.
 Neither cuts a family larger than the incumbent: every search that closes
 reports the family an exhausted search does.
 """
@@ -78,7 +80,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -352,11 +354,12 @@ class ConflictOracle:
             rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed_rows)
         return perm.tolist(), rows, width
 
-    def hyper_rows(self) -> tuple[list[int], list[dict[tuple, int]]]:
+    def hyper_rows(self) -> tuple[list[int], dict[tuple, list[int]]]:
         """The n >= 3 conflict hypergraph in search order: ``order`` as for
-        pairs, by edge degree; ``links[p]`` maps each increasing tuple S of
-        n-2 positions to the mask of the k that make S, p, k an edge.  The
-        edges come from the walk (``bitops.meeting_subsets``), and every
+        pairs, by edge degree; ``links[S][u]``, S an increasing tuple of n-2
+        positions in some edge, masks the k that make S, u, k an edge (so
+        ``links[()]`` would be the pair rows).  The edges come from the walk
+        (``bitops.meeting_subsets``); each sets its C(n, 2) keys, and every
         n-subset counts as one evaluated edge."""
         m = len(self.cands)
         walk = bitops.meeting_subsets(m, self.n, self._translate)
@@ -365,13 +368,16 @@ class ConflictOracle:
         deg = Counter(itertools.chain.from_iterable(edges))
         order = sorted(range(m), key=lambda i: (-deg[i], i))
         pos_of = sorted(range(m), key=order.__getitem__)
-        links: list[dict[tuple, int]] = [{} for _ in range(m)]
+        links: defaultdict[tuple, list[int]] = defaultdict(lambda: [0] * m)
         for combo in edges:
-            ps = sorted(pos_of[i] for i in combo)
-            for p, k in itertools.permutations(ps, 2):
-                rest = tuple(q for q in ps if q != p and q != k)
-                links[p][rest] = links[p].get(rest, 0) | 1 << k
-        return order, links
+            ps = sorted(map(pos_of.__getitem__, combo))
+            # the t-th (n-2)-subset of ps leaves out the t-th pair from the end
+            pairs = reversed(list(itertools.combinations(ps, 2)))
+            for key, (u, k) in zip(itertools.combinations(ps, self.n - 2), pairs):
+                row = links[key]
+                row[u] |= 1 << k
+                row[k] |= 1 << u
+        return order, dict(links)
 
 
 def _lap(timing: Optional[dict], key: str, t0: float) -> float:
@@ -487,8 +493,8 @@ def _exact(
     seed, every other one takes its first family of the seed's size: the
     first descent if that is as large, else the first one a search capped at
     that size meets.  An n >= 3 search takes position 0 at the root where
-    ``oracle.transitive`` holds, and ``_Open`` closes its branches by the
-    link-graph cliques.  ``timing``, when given, gets ``rows_ms``, ``search_ms``
+    ``oracle.transitive`` holds, and ``_Open``, on the link table, closes its
+    branches by the link-graph cliques.  ``timing``, when given, gets ``rows_ms``, ``search_ms``
     and, for n=2, ``dp_ms`` (of it, in the DP), ``components``, ``capped``
     (the components whose family reached either cap) and ``bandwidth``.
     """
@@ -498,17 +504,11 @@ def _exact(
     if oracle.n == 2:
         order, padj, width = oracle.pair_rows()
         keep = [full ^ row for row in padj]  # the positions each choice leaves open
-
-        def fits(mask: int, p: int) -> bool:
-            return not padj[p] & mask
-
+        fits = lambda mask, p: not padj[p] & mask
     else:
         order, links = oracle.hyper_rows()
         keep = _Open(links, oracle.n, full)
-
-        def fits(mask: int, p: int) -> bool:
-            return not keep.completing(p, bitops.iter_bits(mask)) & mask
-
+        fits = lambda mask, p: not keep.completing(p, bitops.iter_bits(mask)) & mask
     t0 = _lap(timing, "rows_ms", t0)
     pos_of = sorted(range(m), key=order.__getitem__)  # the inverse of order: each candidate's position
     seed = _greedy(pos_of, fits)  # in candidate order
@@ -663,29 +663,30 @@ class _Branch:
 
 class _Open:
     """``keep`` for n >= 3, read by the one ``_Branch`` (``branch``) whose
-    rising ``cur`` it follows.  ``keep[p]``, p the last of ``cur``, is
-    ``open[d]`` (d = len(cur)): the positions above p that still fit, those
-    of ``open[d-1]`` that complete no edge with p and n-2 others of ``cur``.
-    ``adj[d][u]`` masks those others for u: u ~ v in the link graph of
-    ``cur`` when u, v and n-2 members of it make an edge, so a family takes
-    at most one position of a clique.  ``keep[p]`` is 0, which closes the
-    branch under p, when ``open[d]`` splits into too few cliques to lift
-    ``cur`` past the incumbent."""
+    rising ``cur`` it follows, on the link table of ``hyper_rows`` in place.
+    ``keep[p]``, p the last of ``cur``, is ``open[d]`` (d = len(cur)): the
+    positions above p that still fit, those of ``open[d-1]`` that complete
+    no edge with p and n-2 others of ``cur``.  ``adj[d][u]`` masks those
+    others for u: u ~ v in the link graph of ``cur`` when u, v and n-2
+    members of it make an edge, so a family takes at most one position of a
+    clique.  ``keep[p]`` is 0, which closes the branch under p, when
+    ``open[d]`` splits into too few cliques to lift ``cur`` past the
+    incumbent."""
 
-    def __init__(self, links: list[dict[tuple, int]], n: int, full: int):
+    def __init__(self, links: dict[tuple, list[int]], n: int, full: int):
         self.links = links
         self.n = n
         self.open = [full]
-        self.adj = [[0] * len(links)]
-        self.rows: dict[tuple, list[int]] = {}  # by key S, links[u][S] for every u
+        self.adj = [[0] * full.bit_length()]
         self.branch: _Branch
 
     def completing(self, p: int, members: Iterable[int]) -> int:
         """The positions completing an edge with p and n-2 of ``members`` (increasing)."""
-        link = self.links[p]
         out = 0
-        for rest in itertools.combinations(members, self.n - 2):
-            out |= link.get(rest, 0)
+        for key in itertools.combinations(members, self.n - 2):
+            row = self.links.get(key)
+            if row is not None:
+                out |= row[p]
         return out
 
     def __getitem__(self, p: int) -> int:
@@ -699,11 +700,9 @@ class _Open:
         adj = self.adj[-1]
         # the edges new to the link graph hold p, the highest of ``cur``
         for rest in itertools.combinations(cur[:-1], self.n - 3):
-            key = rest + (p,)
-            row = self.rows.get(key)
-            if row is None:
-                row = self.rows[key] = [link.get(key, 0) for link in self.links]
-            adj = [a | b for a, b in zip(adj, row)]
+            row = self.links.get(rest + (p,))
+            if row is not None:
+                adj = [a | b for a, b in zip(adj, row)]
         self.open.append(rem)
         self.adj.append(adj)
         cliques = 0

@@ -613,12 +613,24 @@ def test_hyper_walk_matches_literal_definition(cache_limit, data, n):
         walk, single = ConflictOracle(A, ideal, cands, n), ConflictOracle(A, ideal, cands, n)
         assert (walk._tcache is None) == (cache_limit == 0)
         order, links = walk.hyper_rows()
-        # each edge, read back from the link of each of its positions
-        got = {tuple(sorted(order[q] for q in (p, *rest, k)))
-               for p, link in enumerate(links) for rest, ks in link.items() for k in bitops.iter_bits(ks)}
+        # each edge, read back from each of its keys; a key is an increasing
+        # tuple of n-2 positions and lies in some edge
+        got = {tuple(sorted(order[q] for q in (*key, u, k)))
+               for key, row in links.items() for u, ks in enumerate(row) for k in bitops.iter_bits(ks)}
         assert sorted(got) == want
+        assert all(len(key) == n - 2 and list(key) == sorted(set(key)) and any(row) for key, row in links.items())
         assert walk.edges_evaluated == math.comb(len(cands), n)
         assert [c for c in itertools.combinations(range(len(cands)), n) if single.is_edge(c)] == want
+    # ``_Open.completing`` reads the table as the edges say: k completes an
+    # edge with p and n-2 of the members
+    m = len(cands)
+    p = data.draw(st.integers(0, m - 1), label="p")
+    members = sorted(data.draw(st.sets(st.integers(0, m - 1).filter(lambda q: q != p), max_size=6), label="members"))
+    edges = {frozenset(order.index(i) for i in c) for c in want}
+    expect = sum(1 << k for k in range(m)
+                 if any(frozenset((p, k, *rest)) in edges for rest in itertools.combinations(members, n - 2)
+                        if k != p and k not in rest))
+    assert packing._Open(links, n, bitops.mask(m)).completing(p, members) == expect
 
 
 def test_deep_search_leaves_recursion_limit_alone():
