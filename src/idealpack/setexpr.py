@@ -290,8 +290,21 @@ def symbolic_finiteness(expr: SetExpr) -> str:
     Judged for an infinite ambient group; a window materialization is always
     finite and says nothing about the set described.  "finite"/"infinite"
     are only returned when the structure proves them; everything else is
-    "unknown" (in particular diff of two infinite sets).
+    "unknown" (in particular diff of two infinite sets).  Each node is
+    judged once, however many paths lead to it.
     """
+    return _finiteness(expr, {})
+
+
+def _finiteness(expr: SetExpr, memo: dict[int, str]) -> str:
+    """``symbolic_finiteness`` of ``expr``, the nodes judged so far in
+    ``memo`` by identity."""
+    if id(expr) not in memo:
+        memo[id(expr)] = _judge(expr, memo)
+    return memo[id(expr)]
+
+
+def _judge(expr: SetExpr, memo: dict[int, str]) -> str:
     if isinstance(expr, Prim):
         if expr.name in _FINITE_PRIMS:
             return "finite"
@@ -301,9 +314,9 @@ def symbolic_finiteness(expr: SetExpr) -> str:
             return "finite"  # constant progression
         return "infinite"
     if isinstance(expr, Shift):
-        return symbolic_finiteness(expr.inner)
+        return _finiteness(expr.inner, memo)
     if isinstance(expr, Combine):
-        sub = [symbolic_finiteness(a) for a in expr.args]
+        sub = [_finiteness(a, memo) for a in expr.args]
         if expr.op == "union":
             if "infinite" in sub:
                 return "infinite"
@@ -455,11 +468,20 @@ def _f2_start_bits(letter: str, depth: int) -> int:
     return bits
 
 
-def _evaluate(expr: SetExpr, group: Group, lo: int) -> tuple[int, int]:
+def _evaluate(expr: SetExpr, group: Group, lo: int, memo: dict) -> tuple[int, int]:
     """(bits, tally) of the pointwise evaluation of ``expr`` on ``group``;
-    on the integer carriers bit i stands for the integer ``lo + i``."""
+    on the integer carriers bit i stands for the integer ``lo + i``.  A node
+    that several paths reach (a catalog name used twice) is evaluated once
+    per ``lo``: ``memo`` holds the results so far by node identity."""
+    key = (id(expr), lo)
+    if key not in memo:
+        memo[key] = _evaluate_node(expr, group, lo, memo)
+    return memo[key]
+
+
+def _evaluate_node(expr: SetExpr, group: Group, lo: int, memo: dict) -> tuple[int, int]:
     if isinstance(expr, Combine):
-        parts = [_evaluate(a, group, lo) for a in expr.args]
+        parts = [_evaluate(a, group, lo, memo) for a in expr.args]
         bits = [b for b, _ in parts]
         tally = sum(t for _, t in parts)
         if expr.op == "union":
@@ -494,8 +516,8 @@ def _evaluate(expr: SetExpr, group: Group, lo: int) -> tuple[int, int]:
             raise KindMismatch("integer shift does not apply to the free group")
         if group.span is not None and group.modulus is None:
             # a Z window: evaluate on the window moved back, with no edge loss
-            return _evaluate(expr.inner, group, lo - expr.by)
-        bits, tally = _evaluate(expr.inner, group, lo)
+            return _evaluate(expr.inner, group, lo - expr.by, memo)
+        bits, tally = _evaluate(expr.inner, group, lo, memo)
         out, dropped = group.translate_bits(expr.by, bits)
         return out, tally + dropped
     if isinstance(expr, NameRef):
@@ -505,7 +527,7 @@ def _evaluate(expr: SetExpr, group: Group, lo: int) -> tuple[int, int]:
 
 def materialize(expr: SetExpr, group: Group) -> MaterializedSet:
     """Evaluate ``expr`` pointwise over the group's universe."""
-    bits, tally = _evaluate(expr, group, group.span[0] if group.span is not None else 0)
+    bits, tally = _evaluate(expr, group, group.span[0] if group.span is not None else 0, {})
     return MaterializedSet(group, bits, tally)
 
 

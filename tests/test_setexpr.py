@@ -1,6 +1,7 @@
 """Set expression language: parsing, printing, materialization, catalogs."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,19 @@ def test_catalog_closes_a_long_chain_written_backwards():
     cat = parse_catalog("".join(f"s{i} = s{i + 1}\n" for i in range(1500)) + "s1500 = list{3}\n")
     assert materialize(cat["s0"], ZW).elements() == [3]
     assert cat.depth["s0"] == 1
+
+
+def test_catalog_doubling_chain_evaluates_each_name_once():
+    # s_i uses s_{i-1} twice, so the closed tree of s40 has 2^40 paths to s0
+    # but only 81 levels; each node is evaluated once per window offset
+    text = "s0 = list{0,5,9}\n" + "".join(f"s{i} = union(s{i - 1}, shift(s{i - 1}, 1))\n" for i in range(1, 41))
+    cat = parse_catalog(text)
+    assert cat.depth["s40"] == 81
+    t0 = time.perf_counter()
+    got = materialize(cat["s40"], ZWindowGroup(Window(0, 2000, margin=0))).elements()
+    assert symbolic_finiteness(cat["s40"]) == "finite"
+    assert time.perf_counter() - t0 < 1
+    assert got == sorted({a + b for a in (0, 5, 9) for b in range(41)})
 
 
 def test_default_catalog_names():
