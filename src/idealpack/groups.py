@@ -40,6 +40,7 @@ Where the carriers really differ, they answer through one method each:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -159,7 +160,7 @@ class _GroupBase:
         _require_distinct([self.index(c) for c in cands])
 
     # -- bitset protocol ---------------------------------------------------
-    @property
+    @functools.cached_property
     def full_mask(self) -> int:
         return bitops.mask(self.size)
 
@@ -192,6 +193,8 @@ class _GroupBase:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, _GroupBase) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
