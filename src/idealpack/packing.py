@@ -494,9 +494,10 @@ def _exact(
     first descent if that is as large, else the first one a search capped at
     that size meets.  An n >= 3 search takes position 0 at the root where
     ``oracle.transitive`` holds, and ``_Open``, on the link table, closes its
-    branches by the link-graph cliques.  ``timing``, when given, gets ``rows_ms``, ``search_ms``
-    and, for n=2, ``dp_ms`` (of it, in the DP), ``components``, ``capped``
-    (the components whose family reached either cap) and ``bandwidth``.
+    branches by the link-graph cliques.  ``timing``, when given, gets
+    ``rows_ms``, ``search_ms`` and, for n=2, ``dp_ms`` (of it, in the DP),
+    ``components``, ``capped`` (the components whose family reached either
+    cap) and ``bandwidth``.
     """
     t0 = time.perf_counter()
     full = bitops.mask(m)
