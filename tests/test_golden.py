@@ -70,6 +70,12 @@ CASES = {
     ],
     # an n = 3 search on Z_N that runs to its close
     "pack-mod20-n3": ["pack", "--set", "list{4,12,14,18}", "--mod", "20", "--n", "3", "--shifts", "0..19", "--exact"],
+    # the other two completion kinds: smallness and packing on any arity
+    "complete-s": ["complete", "--kind", "s", "--window", "0:31000", "--m", "1", "--s", "3"],
+    "complete-pack-omega": [
+        "complete", "--kind", "pack-omega", "--window", "0:20000", "--shifts", "0..64", "--n-range", "2..3",
+        "--threshold", "24",
+    ],
     # an n = 4 search on Z_N: the link keys hold two positions
     "pack-mod16-n4": ["pack", "--set", "list{0,1,3,7}", "--mod", "16", "--n", "4", "--shifts", "0..15", "--exact"],
     # an n = 3 search on a window with negative shifts
@@ -83,6 +89,10 @@ CASES = {
     "pack-cayley-finite-sets": [
         "pack", "--set", "list{0,1}", "--n", "2", "--shifts", "0..5", "--cayley", _S3,
         "--ideal", "finite-sets", "--cutoff", "1",
+    ],
+    # the catalog fails to materialize before the threshold is checked
+    "complete-pack2-cayley": [
+        "complete", "--kind", "pack2", "--cayley", _S3, "--shifts", "0..5", "--threshold", "100",
     ],
 }
 
