@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import bitops
-from .completion import CompletionContext, iterate_completion
+from .completion import iterate_completion
 from .folner import counting_bound_check, measure_build
 from .freegroup import f2_partition, family_disjoint, parse_translators, shipped_b_family
 from .groups import MaterializedSet, Window, ZModGroup, ZWindowGroup
@@ -321,12 +321,11 @@ def criterion_10() -> CriterionResult:
         set(trace.stage_sets[i]) <= set(trace.stage_sets[i + 1])
         for i in range(len(trace.stage_sets) - 1)
     )
-    ctx = CompletionContext(cat, g)
     echo = SmallBounds(m=2, s=16, inner=LargeBounds(max_f=256, shift_range=256))
     not_small = [
         name
         for name in trace.admitted()
-        if is_ideal_small(ctx.sets[name], TrivialIdeal(), echo).verdict != "small-at-scale"
+        if is_ideal_small(materialize(cat[name], g), TrivialIdeal(), echo).verdict != "small-at-scale"
     ]
     ok = (
         monotone

@@ -2,18 +2,19 @@
 
 The transfinite construction — close an ideal under every set of infinite
 packing index, then under unions, and iterate — is approximated from below
-on a finite carrier: the catalog.  A stage receives the current admitted
-subset, freezes it as a stage ideal (membership = base membership after
-deleting the admitted sets' union), classifies each remaining catalog set
-against that frozen ideal, and finally closes under pairwise unions of
-admitted catalog members.  Admission rules:
+on a finite carrier: the catalog, materialized once.  Each stage freezes the
+admitted subset as a stage ideal (membership = base membership after
+deleting the admitted sets' union), asks the kind's admission rule of each
+remaining catalog set against that frozen ideal, and finally closes under
+pairwise unions of admitted catalog members.  Admission rules:
 
   initial     — member of the base ideal before any stage runs
-  pack        — packing value >= threshold, or flag saturated, at the
-                configured scale ("infinite index" surrogate; greedy values
-                are certified lower bounds, so admission is sound)
+  pack        — (pack_n, pack_<w) packing value >= threshold, or flag
+                saturated, at the configured scale ("infinite index"
+                surrogate; greedy values are certified lower bounds, so
+                admission is sound)
+  small       — (s) verdict small-at-scale against the stage ideal
   union       — covered by the union of two admitted sets (summands named)
-  small       — verdict small-at-scale against the stage ideal
 
 Stages are monotone by construction; the trace records every admission with
 its rule and flags the fixpoint when a stage adds nothing.
@@ -35,7 +36,6 @@ from .setexpr import Catalog, materialize
 __all__ = [
     "AdmissionRecord",
     "CompletionTrace",
-    "CompletionContext",
     "iterate_completion",
 ]
 
@@ -75,117 +75,24 @@ class CompletionTrace:
         }
 
 
-class CompletionContext:
-    """Catalog materialized once on a shared group, plus the base ideal."""
-
-    def __init__(self, catalog: Catalog, group: Group, base: Optional[Ideal] = None):
-        self.catalog = catalog
-        self.group = group
-        self.base = base if base is not None else TrivialIdeal()
-        self.names = list(catalog.names)
-        self.sets: dict[str, MaterializedSet] = {
-            name: materialize(expr, group) for name, expr in catalog.items()
-        }
-
-    def initial_subset(self) -> tuple[set[str], list[AdmissionRecord]]:
-        admitted: set[str] = set()
-        records = []
-        for name in self.names:
-            if self.base.member(self.sets[name], self.catalog[name]):
-                admitted.add(name)
-                records.append(AdmissionRecord(name, 0, "initial", {}))
-        return admitted, records
-
-    def stage_ideal(self, admitted: set[str]) -> StageIdeal:
-        return StageIdeal(
-            self.base, self.group, [self.sets[name].bits for name in sorted(admitted)]
-        )
-
-    def _union_close(
-        self, admitted: set[str], stage: int, records: list[AdmissionRecord]
-    ) -> None:
-        """Admit catalog sets covered by a union of two admitted ones (a
-        pair may repeat a set, covering plain subset admission)."""
-        changed = True
-        while changed:
-            changed = False
-            pool = sorted(admitted)
-            for name in self.names:
-                if name in admitted:
-                    continue
-                bits = self.sets[name].bits
-                for p, q in itertools.combinations_with_replacement(pool, 2):
-                    if bits & ~(self.sets[p].bits | self.sets[q].bits) == 0:
-                        admitted.add(name)
-                        records.append(
-                            AdmissionRecord(name, stage, "union", {"summands": [p, q]})
-                        )
-                        changed = True
-                        break
-        return None
-
-    def pack_stage(
-        self,
-        admitted: set[str],
-        stage: int,
-        n_values: Sequence[int],
-        candidates: Sequence,
-        threshold: int,
-    ) -> tuple[set[str], list[AdmissionRecord]]:
-        if threshold > len(candidates):
-            raise InvalidParam(
-                f"saturation threshold {threshold} exceeds the "
-                f"{len(candidates)} candidate translators"
-            )
-        ideal = self.stage_ideal(admitted)  # frozen at stage start
-        out = set(admitted)
-        records: list[AdmissionRecord] = []
-        for name in self.names:
-            if name in out:
+def _union_close(
+    admitted: set[str], sets: dict[str, MaterializedSet], stage: int, records: list[AdmissionRecord]
+) -> None:
+    """Admit catalog sets covered by a union of two admitted ones (a pair
+    may repeat a set, covering plain subset admission)."""
+    changed = True
+    while changed:
+        changed = False
+        pool = sorted(admitted)
+        for name, A in sets.items():
+            if name in admitted:
                 continue
-            for n in n_values:
-                report = pack_greedy(
-                    self.sets[name], ideal, candidates, n, expr=self.catalog[name]
-                )
-                if report.value >= threshold or report.flag == "saturated":
-                    out.add(name)
-                    records.append(
-                        AdmissionRecord(
-                            name,
-                            stage,
-                            "pack",
-                            {"n": n, "value": report.value, "flag": report.flag},
-                        )
-                    )
+            for p, q in itertools.combinations_with_replacement(pool, 2):
+                if A.bits & ~(sets[p].bits | sets[q].bits) == 0:
+                    admitted.add(name)
+                    records.append(AdmissionRecord(name, stage, "union", {"summands": [p, q]}))
+                    changed = True
                     break
-        self._union_close(out, stage, records)
-        return out, records
-
-    def s_stage(
-        self,
-        admitted: set[str],
-        stage: int,
-        bounds: SmallBounds,
-    ) -> tuple[set[str], list[AdmissionRecord]]:
-        ideal = self.stage_ideal(admitted)
-        out = set(admitted)
-        records: list[AdmissionRecord] = []
-        for name in self.names:
-            if name in out:
-                continue
-            evidence = is_ideal_small(self.sets[name], ideal, bounds)
-            if evidence.verdict == "small-at-scale":
-                out.add(name)
-                records.append(
-                    AdmissionRecord(
-                        name,
-                        stage,
-                        "small",
-                        {"m": bounds.m, "s": bounds.s},
-                    )
-                )
-        self._union_close(out, stage, records)
-        return out, records
 
 
 def iterate_completion(
@@ -215,18 +122,24 @@ def iterate_completion(
         if n_range[0] > n_range[1] or n_range[0] < 2:
             raise InvalidParam(f"bad arity range {n_range}")
         n_values = list(range(n_range[0], n_range[1] + 1))
-    elif kind == "s":
-        n_values = []
-    else:
+    elif kind != "s":
         raise InvalidParam(f"unknown completion kind {kind!r}")
 
-    ctx = CompletionContext(catalog, group, base)
-    admitted, records = ctx.initial_subset()
+    base = base if base is not None else TrivialIdeal()
+    sets = {name: materialize(expr, group) for name, expr in catalog.items()}
+    admitted = {name for name, A in sets.items() if base.member(A, catalog[name])}
+    records = [AdmissionRecord(name, 0, "initial") for name in sets if name in admitted]
     stage_sets = [sorted(admitted)]
     params: dict = {"stages": stages, "group": group.descriptor()}
     if kind == "s":
         bounds = bounds if bounds is not None else SmallBounds()
         params.update({"m": bounds.m, "s": bounds.s})
+
+        def admit(name: str, ideal: Ideal) -> Optional[tuple[str, dict]]:
+            if is_ideal_small(sets[name], ideal, bounds).verdict == "small-at-scale":
+                return "small", {"m": bounds.m, "s": bounds.s}
+            return None
+
     else:
         if candidates is None:
             raise InvalidParam("pack completion needs candidate translators")
@@ -234,23 +147,39 @@ def iterate_completion(
             raise InvalidParam(
                 f"threshold {threshold} is below the largest arity {max(n_values)}: every set would pass"
             )
+        if threshold > len(candidates):
+            raise InvalidParam(
+                f"saturation threshold {threshold} exceeds the "
+                f"{len(candidates)} candidate translators"
+            )
         params.update({"threshold": threshold, "candidates": len(candidates)})
         if kind == "pack_n":
             params["n"] = n
         else:
             params["n_range"] = list(n_range)
 
-    fixpoint = False
+        def admit(name: str, ideal: Ideal) -> Optional[tuple[str, dict]]:
+            for k in n_values:
+                report = pack_greedy(sets[name], ideal, candidates, k, expr=catalog[name])
+                if report.value >= threshold or report.flag == "saturated":
+                    return "pack", {"n": k, "value": report.value, "flag": report.flag}
+            return None
+
     fixpoint_stage = None
     for stage in range(1, stages + 1):
-        if kind == "s":
-            new, recs = ctx.s_stage(admitted, stage, bounds)
-        else:
-            new, recs = ctx.pack_stage(admitted, stage, n_values, candidates, threshold)
-        records.extend(recs)
+        # frozen at stage start: admissions within a stage do not feed each other
+        ideal = StageIdeal(base, group, [sets[name].bits for name in sorted(admitted)])
+        new = set(admitted)
+        for name in sets:
+            if name in admitted:
+                continue
+            verdict = admit(name, ideal)
+            if verdict is not None:
+                new.add(name)
+                records.append(AdmissionRecord(name, stage, *verdict))
+        _union_close(new, sets, stage, records)
         stage_sets.append(sorted(new))
         if new == admitted:
-            fixpoint = True
             fixpoint_stage = stage
             break
         admitted = new
@@ -259,6 +188,6 @@ def iterate_completion(
         params=params,
         stage_sets=stage_sets,
         records=records,
-        fixpoint=fixpoint,
+        fixpoint=fixpoint_stage is not None,
         fixpoint_stage=fixpoint_stage,
     )

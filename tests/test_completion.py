@@ -2,12 +2,12 @@
 
 import pytest
 
-from idealpack.completion import CompletionContext, iterate_completion
+from idealpack.completion import iterate_completion
 from idealpack.errors import InvalidParam
 from idealpack.groups import Window, ZWindowGroup
-from idealpack.ideals import StageIdeal
+from idealpack.ideals import StageIdeal, TrivialIdeal
 from idealpack.largesmall import LargeBounds, SmallBounds
-from idealpack.setexpr import default_catalog
+from idealpack.setexpr import default_catalog, materialize
 
 G = ZWindowGroup(Window(0, 100_000, margin=512))
 SHIFTS = list(range(513))
@@ -78,13 +78,11 @@ def test_threshold_must_be_feasible():
 
 def test_stage_ideal_wraps_admitted_members():
     catalog = default_catalog()
-    ctx = CompletionContext(catalog, G)
-    admitted = {"block", "block2"}
-    ideal = ctx.stage_ideal(admitted)
-    assert isinstance(ideal, StageIdeal)
-    assert ideal.member(ctx.sets["block"])
-    assert ideal.member(ctx.sets["block"].union(ctx.sets["block2"]))
-    assert not ideal.member(ctx.sets["parity"])
+    sets = {name: materialize(catalog[name], G) for name in ("block", "block2", "parity")}
+    ideal = StageIdeal(TrivialIdeal(), G, [sets["block"].bits, sets["block2"].bits])
+    assert ideal.member(sets["block"])
+    assert ideal.member(sets["block"].union(sets["block2"]))
+    assert not ideal.member(sets["parity"])
 
 
 def test_pack_omega_admits_on_any_arity():
@@ -116,8 +114,10 @@ def test_s_completion_runs_to_fixpoint():
 
 
 def test_single_stage_helper_matches_first_stage():
-    catalog = default_catalog()
-    out, _ = CompletionContext(catalog, G).pack_stage({"nothing"}, 1, [2], SHIFTS, 8)
+    trace = run_pack2(stages=1)
+    assert trace.stage_sets[0] == ["nothing"]
+    assert trace.stage_sets[1] == run_pack2().stage_sets[1]
+    out = trace.admitted()
     assert "pows" in out
     assert "nothing" in out  # stages only grow
     assert "parity" not in out
