@@ -269,11 +269,14 @@ def print_set_expr(expr: SetExpr) -> str:
     if isinstance(expr, Combine):
         return expr.op + "(" + ",".join(print_set_expr(a) for a in expr.args) + ")"
     if isinstance(expr, Shift):
-        by = expr.by if isinstance(expr.by, int) else (expr.by or "e")
-        return f"shift({print_set_expr(expr.inner)},{by})"
+        return f"shift({print_set_expr(expr.inner)},{_print_by(expr.by)})"
     if isinstance(expr, NameRef):
         return expr.name
     raise TypeError(f"not a SetExpr: {expr!r}")
+
+
+def _print_by(by: Union[int, str]) -> str:
+    return str(by) if isinstance(by, int) else (by or "e")
 
 
 # --------------------------------------------------------------------------
@@ -498,7 +501,9 @@ def _evaluate_node(expr: SetExpr, group: Group, lo: int, memo: dict) -> tuple[in
         # a Cayley table: no symbolic primitives, and list names element indices
         if isinstance(expr, Prim) and expr.name == "list":
             return group.set_of(expr.args).bits, 0
-        raise KindMismatch(f"{print_set_expr(expr)} does not materialize on kind {group.kind!r}")
+        # a shift names only its translator: its operand may print exponentially long
+        what = f"shift by {_print_by(expr.by)}" if isinstance(expr, Shift) else print_set_expr(expr)
+        raise KindMismatch(f"{what} does not materialize on kind {group.kind!r}")
     if isinstance(expr, Prim):
         if group.span is not None:
             hi = lo + group.size - 1

@@ -282,6 +282,16 @@ def test_deep_catalog_chain_is_usage_error(capsys, tmp_path):
     assert f"catalog name 's{MAX_DEPTH}' nests {MAX_DEPTH + 1} deep" in err
 
 
+def test_cayley_shift_error_names_only_the_translator(capsys, tmp_path):
+    # s40 prints as 2^40 copies of s0: the message must not print the operand
+    cat = tmp_path / "chain.cat"
+    chain = "".join(f"s{i} = union(s{i - 1}, shift(s{i - 1}, 1))\n" for i in range(1, 41))
+    cat.write_text("s0 = list{0,5}\n" + chain)
+    code, out, err = run(capsys, "density", "--catalog", str(cat), "--set", "shift(s40,1)", "--cayley", S3)
+    assert (code, out) == (2, "")
+    assert err == "error: shift by 1 does not materialize on kind 'cayley'\n"
+
+
 def test_set_expression_at_the_depth_limit_evaluates(capsys, tmp_path):
     code, doc = run_json(capsys, "density", "--set", _shifted("evens", MAX_DEPTH - 1),
                          "--window", "0:2000", "--schedule", "64")

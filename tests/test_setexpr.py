@@ -226,7 +226,7 @@ _ERROR_CARRIERS = {"zw": ZW, "z12": ZModGroup(12), "s3": _s3(), "f2": FreeGroup2
         ("shift(f2start(a),2)", "f2", KindMismatch, "integer shift does not apply to the free group"),
         ("evens", "s3", KindMismatch, "evens does not materialize on kind 'cayley'"),
         ("someset", "s3", KindMismatch, "someset does not materialize on kind 'cayley'"),
-        ("shift(list{1},2)", "s3", KindMismatch, "shift(list{1},2) does not materialize on kind 'cayley'"),
+        ("shift(list{1},2)", "s3", KindMismatch, "shift by 2 does not materialize on kind 'cayley'"),
         ("list{0,7}", "s3", InvalidParam, "element index 7 out of range"),
         # errors surface depth first, left before right
         ("union(powers(0),interval(5,2))", "zw", InvalidParam, "powers base must be >= 1, got 0"),
