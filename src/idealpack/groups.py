@@ -461,17 +461,14 @@ class FreeGroup2(_GroupBase):
         return out
 
     def differences(self, gs: np.ndarray, hs: np.ndarray) -> np.ndarray:
-        """One rank kernel call per entry of the shorter of ``gs`` and ``hs``:
-        a row is g⁻¹·hs; a column is the inverse of h⁻¹·gs, as g⁻¹h = (h⁻¹g)⁻¹."""
+        """One rank kernel call per entry of ``hs``: column j is the inverse
+        of h⁻¹·gs, as g⁻¹h = (h⁻¹g)⁻¹.  Its caller, ``_hits_by_residual``,
+        passes many candidates as ``gs`` and a few residual rows as ``hs``."""
         gs, hs = np.asarray(gs), np.asarray(hs)
         out = np.empty((gs.size, hs.size), dtype=np.int64)
-        if gs.size <= hs.size:
-            for i, g in enumerate(gs.tolist()):
-                out[i] = words.left_mul_ranks(words.invert_word(words.word_at_rank(g)), hs, self.depth)[0]
-        else:
-            for j, h in enumerate(hs.tolist()):
-                hg = words.left_mul_ranks(words.invert_word(words.word_at_rank(h)), gs, self.depth)[0]
-                out[:, j] = words.invert_ranks(hg, self.depth)
+        for j, h in enumerate(hs.tolist()):
+            hg = words.left_mul_ranks(words.invert_word(words.word_at_rank(h)), gs, self.depth)[0]
+            out[:, j] = words.invert_ranks(hg, self.depth)
         return out
 
     def translator_count(self, radius: int) -> int:

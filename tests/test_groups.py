@@ -153,7 +153,7 @@ def test_index_arrays_match_element_arithmetic(group):
     for i, g in enumerate(gs.tolist()):
         for j, h in enumerate(hs.tolist()):
             assert moved[i, j] == index_or_out(group.mul(at(g), at(h)))
-    # both shapes: the free group reads differences off the shorter side
+    # both shapes: the free group reads differences column by column
     for rows, cols in ((gs, hs), (hs, gs)):
         diffs = group.differences(rows, cols)
         for i, g in enumerate(rows.tolist()):
