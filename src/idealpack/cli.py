@@ -13,9 +13,10 @@ else the key of the same name in the config block named after the command
 The carrier lives in block ``group``, the ideal in ``ideal``, the report
 format and catalog in ``output``; ``--ideal``, ``--density-threshold`` and
 ``--gen-shift-range`` set ``ideal.kind``, ``ideal.threshold`` and
-``ideal.shift-range``.  One converter types every value, and a value of the
-wrong type (a list or 1.5 for an integer, unparsable text) is a usage error
-that names the key.
+``ideal.shift-range``.  Argparse only names the flags, in one parser built
+per process; ``_convert`` types every value, flag or config key, and a value
+of the wrong type (a list or 1.5 for an integer, unparsable text) is a usage
+error that names the key.  ``main`` returns every exit code, argparse's too.
 
 The carrier flags (``--mod``, ``--cayley``, ``--depth``, ``--window``) lay
 their keys over the ``group`` block, so a flag overrides only the keys it
@@ -26,6 +27,7 @@ The margin otherwise defaults to exactly what the computation needs.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -396,9 +398,10 @@ def _cmd_f2(args, cfg) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify(args, cfg) -> tuple[dict, dict, int]:
-    results = run_all(only=args.only)
+    only = _convert(args.only, int, "--only")
+    results = run_all(only=only)
     if not results:
-        raise InvalidParam(f"no criterion numbered {args.only}")
+        raise InvalidParam(f"no criterion numbered {only}")
     all_passed = all(r.passed for r in results)
     result = {
         "all_passed": all_passed,
@@ -426,38 +429,35 @@ _HANDLERS = {
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (brace-block format)")
-    common.add_argument("--report", choices=_REPORTS, help="output format")
+    common.add_argument("--report", help="output format: json or text")
     common.add_argument("--catalog", help="catalog file of named sets")
     common.add_argument("--window", help="Z window: N for [0,N] or LO:HI")
-    common.add_argument("--margin", type=int, help="window shift margin (default: auto)")
-    common.add_argument("--mod", type=int, help="cyclic group Z_N")
+    common.add_argument("--margin", help="window shift margin (default: auto)")
+    common.add_argument("--mod", help="cyclic group Z_N")
     common.add_argument("--cayley", help="finite group via Cayley table file")
-    common.add_argument("--depth", type=int, help="free-group word ball radius")
-    common.add_argument(
-        "--ideal",
-        choices=("trivial", "finite-sets", "density-zero", "generated"),
-        help="ideal kind (default trivial)",
-    )
-    common.add_argument("--cutoff", type=int, help="finite-sets: cardinality cutoff")
+    common.add_argument("--depth", help="free-group word ball radius")
+    common.add_argument("--ideal", help="ideal kind: trivial (default), finite-sets, density-zero, generated")
+    common.add_argument("--cutoff", help="finite-sets: cardinality cutoff")
     common.add_argument("--lengths", help="density-zero: schedule, e.g. 64,256,1024")
     common.add_argument("--density-threshold", help="density-zero: threshold (exact rational)")
     common.add_argument("--generators", help="generated: comma list of set exprs")
-    common.add_argument("--e-bound", type=int, dest="e_bound")
-    common.add_argument("--gen-shift-range", type=int, dest="gen_shift_range")
-    common.add_argument("--slack", type=int)
+    common.add_argument("--e-bound")
+    common.add_argument("--gen-shift-range")
+    common.add_argument("--slack")
 
     the_set = argparse.ArgumentParser(add_help=False)
     the_set.add_argument("--set", help="set expression")
     the_set.add_argument("--name", help="catalog set name")
 
     small_bounds = argparse.ArgumentParser(add_help=False)
-    small_bounds.add_argument("--m", type=int, help="max family size")
-    small_bounds.add_argument("--s", type=int, help="family shift bound")
-    small_bounds.add_argument("--inner-max-f", type=int, dest="inner_max_f")
-    small_bounds.add_argument("--inner-shift-range", type=int, dest="inner_shift_range")
+    small_bounds.add_argument("--m", help="max family size")
+    small_bounds.add_argument("--s", help="family shift bound")
+    small_bounds.add_argument("--inner-max-f")
+    small_bounds.add_argument("--inner-shift-range")
 
     p = argparse.ArgumentParser(
         prog="idealpack",
@@ -467,60 +467,63 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", metavar="command")
 
     sp = sub.add_parser("pack", parents=[common, the_set], help="packing index of a set")
-    sp.add_argument("--n", type=int, help="intersection arity (>= 2)")
+    sp.add_argument("--n", help="intersection arity (>= 2)")
     sp.add_argument("--shifts", help="candidate translators, e.g. 0..9")
     sp.add_argument("--translators", help="free-group candidates, e.g. b^0..b^8")
     sp.add_argument(
         "--exact", action="store_true", default=None,
         help="branch-and-bound (default: greedy)",
     )
-    sp.add_argument("--node-budget", type=int, dest="node_budget")
-    sp.add_argument("--exact-cap", type=int, dest="exact_cap")
+    sp.add_argument("--node-budget")
+    sp.add_argument("--exact-cap")
 
     sp = sub.add_parser("small", parents=[common, the_set, small_bounds], help="smallness evidence")
-    sp.add_argument("--cap", type=int, help="family enumeration cap")
+    sp.add_argument("--cap", help="family enumeration cap")
 
     sp = sub.add_parser("large", parents=[common, the_set], help="largeness witness search")
-    sp.add_argument("--max-f", type=int, dest="max_f")
-    sp.add_argument("--shift-range", type=int, dest="shift_range")
+    sp.add_argument("--max-f")
+    sp.add_argument("--shift-range")
 
     sp = sub.add_parser("density", parents=[common, the_set], help="sliding-window density profile")
     sp.add_argument("--schedule", help="window lengths, e.g. 64,256,1024")
 
     sp = sub.add_parser("folner", parents=[common], help="Folner certificate")
     sp.add_argument("--F", help="finite test set, e.g. {1,-3}")
-    sp.add_argument("--n", type=int, help="tolerance index")
+    sp.add_argument("--n", help="tolerance index")
 
     sp = sub.add_parser("measure", parents=[common], help="finite-stage measure")
     sp.add_argument("--avoid", help="set the measure certifies null")
     sp.add_argument("--F", help="finite test set")
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n")
     sp.add_argument("--eval", help="set to evaluate")
-    sp.add_argument("--bound", type=int, help="avoidance search bound")
+    sp.add_argument("--bound", help="avoidance search bound")
 
     sp = sub.add_parser(
         "complete", parents=[common, small_bounds], help="completion stages over the catalog",
     )
     sp.add_argument("--kind", help="pack2, pack3, ..., pack-omega, or s")
-    sp.add_argument("--stages", type=int)
-    sp.add_argument("--threshold", type=int, help="saturation threshold t")
+    sp.add_argument("--stages")
+    sp.add_argument("--threshold", help="saturation threshold t")
     sp.add_argument("--shifts", help="candidate translators")
-    sp.add_argument("--n-range", dest="n_range", help="pack-omega arities, e.g. 2..4")
+    sp.add_argument("--n-range", help="pack-omega arities, e.g. 2..4")
 
     sp = sub.add_parser("f2", parents=[common], help="free-group disjointness check")
     sp.add_argument("--base", help="A (words starting a/a^-1) or B (the rest)")
     sp.add_argument("--translators", help='words: "b^0..b^8", "e,a,ba", or shipped-b')
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n")
 
     sp = sub.add_parser("verify-paper", parents=[common], help="run the acceptance suite")
-    sp.add_argument("--only", type=int, help="run a single criterion (1-10)")
+    sp.add_argument("--only", help="run a single criterion (1-10)")
 
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # an unknown flag, a flag with no value, --help
+        return exc.code
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2

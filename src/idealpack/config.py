@@ -11,10 +11,10 @@ The file format is deliberately tiny — named blocks of assignments::
     ideal { kind = "density-zero"; lengths = [64, 256, 1024]; threshold = 0.02 }
 
 Pairs separate on newlines or semicolons.  Values are quoted strings,
-integers, booleans, decimal numbers, or bracketed lists of those.  Decimal
-literals parse to exact ``Fraction``s through their string form: a density
-threshold of 0.02 must mean 1/50, not the nearest binary float.  Command
-line flags always override file values.
+integers, booleans, decimal numbers, or bracketed lists of those (a list
+holds no list).  Decimal literals parse to exact ``Fraction``s through their
+string form: a density threshold of 0.02 must mean 1/50, not the nearest
+binary float.  Command line flags always override file values.
 """
 
 from __future__ import annotations
@@ -85,6 +85,22 @@ class _Parser:
         return v
 
     def value(self) -> Any:
+        """A scalar, or a bracketed list of scalars."""
+        if self.peek() != ("punct", "["):
+            return self.scalar()
+        self.next()
+        items = []
+        self.skip_newlines()
+        while self.peek() != ("punct", "]"):
+            items.append(self.scalar())
+            self.skip_newlines()
+            if self.peek() == ("punct", ","):
+                self.next()
+                self.skip_newlines()
+        self.next()
+        return items
+
+    def scalar(self) -> Any:
         k, v = self.next()
         if k == "string":
             return v[1:-1].replace('\\"', '"').replace("\\\\", "\\")
@@ -97,16 +113,7 @@ class _Parser:
                 return False
             raise InvalidParam(f"config: bare word {v!r} is not a value (quote strings)")
         if (k, v) == ("punct", "["):
-            items = []
-            self.skip_newlines()
-            while self.peek() != ("punct", "]"):
-                items.append(self.value())
-                self.skip_newlines()
-                if self.peek() == ("punct", ","):
-                    self.next()
-                    self.skip_newlines()
-            self.next()
-            return items
+            raise InvalidParam("config: a list holds only numbers, strings and booleans")
         raise InvalidParam(f"config: expected a value, got {v!r}")
 
     def block(self) -> dict:

@@ -629,10 +629,8 @@ class _Branch:
         self.closed = nbest >= cap
 
     def run(self, allowance: float) -> int:
-        """Search on for at most ``allowance`` nodes; the nodes it took.
-        ``closed`` tells whether the search is over."""
-        if self.closed:
-            return 0
+        """Search on, while open, for at most ``allowance`` nodes; the nodes
+        it took.  ``closed`` tells whether the search is over."""
         keep, cur, stack, rem, nbest = self.keep, self.cur, self.stack, self.rem, self.nbest
         spent = 0
         while True:

@@ -13,6 +13,8 @@ Grammar (LL(1), whitespace-insensitive, case-sensitive names)::
 
 A bare identifier that is not a reserved name is a reference into a catalog
 of named sets and must be resolved (:func:`resolve`) before materialization.
+A resolved reference keeps its name: it prints as the name and is judged
+and evaluated as its definition.
 A tree nests at most ``MAX_DEPTH`` levels, its names resolved: the parser
 and the catalog raise a usage error past that, since every walk over a tree
 recurses once a level.
@@ -41,9 +43,9 @@ wrap — only ``shift`` wraps, because translation does).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -107,9 +109,12 @@ class Shift:
 
 @dataclass(frozen=True)
 class NameRef:
-    """Reference to a catalog-defined name; resolved before materialization."""
+    """Reference to a catalog-defined name; resolved before materialization,
+    when it gets the name's closed tree as ``definition``.  It compares and
+    prints by name alone."""
 
     name: str
+    definition: Optional["SetExpr"] = field(default=None, compare=False, repr=False)
 
 
 SetExpr = Union[Prim, Combine, Shift, NameRef]
@@ -259,7 +264,8 @@ def parse_set_expr(text: str) -> SetExpr:
 
 
 def print_set_expr(expr: SetExpr) -> str:
-    """Canonical text for a tree; ``parse_set_expr`` inverts it exactly."""
+    """Canonical text for a tree, each name as written; ``parse_set_expr``
+    inverts it exactly."""
     if isinstance(expr, Prim):
         if expr.name == "list":
             return "list{" + ",".join(str(x) for x in expr.args) + "}"
@@ -341,7 +347,9 @@ def _judge(expr: SetExpr, memo: dict[int, str]) -> str:
                 return "infinite"
             return "unknown"
     if isinstance(expr, NameRef):
-        raise UnknownName(f"unresolved name {expr.name!r}")
+        if expr.definition is None:
+            raise UnknownName(f"unresolved name {expr.name!r}")
+        return _finiteness(expr.definition, memo)
     raise TypeError(f"not a SetExpr: {expr!r}")
 
 
@@ -350,8 +358,9 @@ def _judge(expr: SetExpr, memo: dict[int, str]) -> str:
 # --------------------------------------------------------------------------
 
 def free_names(expr: SetExpr) -> set[str]:
+    """The names of ``expr`` not resolved yet."""
     if isinstance(expr, NameRef):
-        return {expr.name}
+        return {expr.name} if expr.definition is None else set()
     if isinstance(expr, Combine):
         out: set[str] = set()
         for a in expr.args:
@@ -375,11 +384,14 @@ def _nesting(expr: SetExpr, depth_of: dict[str, int]) -> int:
 
 
 def resolve(expr: SetExpr, env: dict[str, SetExpr]) -> SetExpr:
-    """Substitute catalog definitions for every :class:`NameRef`."""
+    """Give every :class:`NameRef` its catalog definition."""
     if isinstance(expr, NameRef):
         if expr.name not in env:
             raise UnknownName(f"unknown set name {expr.name!r}")
-        return env[expr.name]
+        target = env[expr.name]
+        if isinstance(target, NameRef) and target.definition is not None:
+            target = target.definition  # an alias: refer to the tree it names
+        return NameRef(expr.name, target)
     if isinstance(expr, Combine):
         return Combine(expr.op, tuple(resolve(a, env) for a in expr.args))
     if isinstance(expr, Shift):
@@ -483,6 +495,8 @@ def _evaluate(expr: SetExpr, group: Group, lo: int, memo: dict) -> tuple[int, in
 
 
 def _evaluate_node(expr: SetExpr, group: Group, lo: int, memo: dict) -> tuple[int, int]:
+    if isinstance(expr, NameRef) and expr.definition is not None:
+        return _evaluate(expr.definition, group, lo, memo)
     if isinstance(expr, Combine):
         parts = [_evaluate(a, group, lo, memo) for a in expr.args]
         bits = [b for b, _ in parts]
@@ -543,9 +557,9 @@ def materialize(expr: SetExpr, group: Group) -> MaterializedSet:
 class Catalog:
     """Ordered collection of named set expressions, references resolved.
 
-    ``exprs`` holds closed trees (no :class:`NameRef` remains) and ``depth``
-    their levels; ``raw`` keeps the trees as written, for faithful
-    re-printing.
+    ``exprs`` holds closed trees (each :class:`NameRef` carries its
+    definition) and ``depth`` their levels; ``raw`` keeps the trees as
+    written, their names unresolved.
     """
 
     def __init__(self, entries: list[tuple[str, SetExpr]]):
@@ -585,7 +599,7 @@ class Catalog:
                 trail.append(dep)
 
     def close(self, expr: SetExpr, what: str = "set expression") -> SetExpr:
-        """``expr`` with each name replaced by its closed tree: UnknownName
+        """``expr`` with each name given its closed tree: UnknownName
         for a name not in the catalog, InvalidParam for a tree that then
         nests more than ``MAX_DEPTH`` levels."""
         closed = resolve(expr, self.exprs)

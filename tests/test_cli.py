@@ -292,6 +292,18 @@ def test_cayley_shift_error_names_only_the_translator(capsys, tmp_path):
     assert err == "error: shift by 1 does not materialize on kind 'cayley'\n"
 
 
+def test_generated_ideal_report_names_catalog_generators(capsys, tmp_path):
+    # s20 expanded prints 2^20 copies of s0: the report names it instead
+    cat = tmp_path / "chain.cat"
+    chain = "".join(f"s{i} = union(s{i - 1}, shift(s{i - 1}, 1))\n" for i in range(1, 21))
+    cat.write_text("s0 = list{0,1}\n" + chain)
+    code, out, err = run(capsys, "pack", "--catalog", str(cat), "--set", "evens", "--window", "0:2000", "--n", "2",
+                         "--shifts", "0..4", "--ideal", "generated", "--generators", "s20,compl(s3)", "--exact")
+    assert code == 0, err
+    assert len(out) < 10_000
+    assert json.loads(out)["result"]["ideal"]["generators"] == ["s20", "compl(s3)"]
+
+
 def test_set_expression_at_the_depth_limit_evaluates(capsys, tmp_path):
     code, doc = run_json(capsys, "density", "--set", _shifted("evens", MAX_DEPTH - 1),
                          "--window", "0:2000", "--schedule", "64")
@@ -374,6 +386,14 @@ def test_verify_paper_json_repeats_once_stripped(capsys):
         # a format the flag's choices refuse was rendered as JSON with exit 0
         (("pack", "--name", "parity", "--window", "100"), 'output { report = "txt" }',
          "output.report must be one of json, text, got 'txt'"),
+        # a flag's value is typed and checked where a config value is
+        (("pack", "--name", "parity", "--window", "100", "--n", "x"), None, "pack.n must be an integer, got 'x'"),
+        (("pack", "--name", "parity", "--shifts", "0..3", "--window", "1000", "--margin", "1.5"), None,
+         "group.margin must be an integer, got '1.5'"),
+        (("pack", "--name", "parity", "--window", "100", "--ideal", "bogus"), None, "unknown ideal kind 'bogus'"),
+        (("pack", "--name", "parity", "--window", "100", "--report", "txt"), None,
+         "output.report must be one of json, text, got 'txt'"),
+        (("verify-paper", "--only", "x"), None, "--only must be an integer, got 'x'"),
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, config, message):
@@ -384,6 +404,27 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, argv, config, mess
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("pack", "--bogus"), 2), (("pack", "--name", "parity", "--n"), 2), (("--help",), 0), (("pack", "--help"), 0)],
+)
+def test_argparse_exits_are_returned(capsys, argv, code):
+    # an unknown flag, a flag with no value and --help end in argparse's
+    # SystemExit, which main returns as its exit code
+    assert main(list(argv)) == code
+    out = capsys.readouterr()
+    assert "usage: idealpack" in (out.err if code else out.out)
+
+
+def test_nested_config_list_is_usage_error(tmp_path, capsys):
+    # this used to end in a RecursionError traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pack { n = " + "[" * 5000 + "]" * 5000 + " }\n")
+    code, out, err = run(capsys, "pack", "--name", "parity", "--window", "100", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "config: a list holds only numbers, strings and booleans" in err
 
 
 def test_window_flag_keeps_the_config_margin(tmp_path, capsys):

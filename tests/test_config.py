@@ -41,6 +41,13 @@ def test_value_types():
     assert cfg.get("ideal", "loose") is False
 
 
+def test_a_list_holds_only_scalars():
+    assert parse_config("pack { n = [64, 256] }").get("pack", "n") == [64, 256]
+    for bad in ("p { n = [[64], 256] }", "p { n = [64, [256]] }"):
+        with pytest.raises(InvalidParam, match="a list holds only numbers, strings and booleans"):
+            parse_config(bad)
+
+
 def test_newlines_separate_pairs_without_semicolons():
     cfg = parse_config("a {\n  x = 1\n  y = 2\n}\n")
     assert cfg.get("a", "x") == 1 and cfg.get("a", "y") == 2

@@ -198,6 +198,35 @@ def test_counting_bound_uniform():
     assert report.bound == Fraction(1, 1)
 
 
+def test_counting_bound_tolerance_on_a_window():
+    # translates on a Z window lose elements past its edge: the bound gets
+    # 2 max|shift| / size of slack, here from the shift -6
+    g = ZWindowGroup(Window(0, 999, margin=64))
+    report = counting_bound_check(g.set_of(range(0, 1000, 2)), [0, 1, -6], 3)
+    assert (report.value, report.bound, report.tolerance) == (Fraction(1, 2), 1, Fraction(12, 1000))
+    assert report.payload() == {
+        "n": 3, "family": [0, 1, -6], "bound": "1", "value": "1/2", "tolerance": "3/250",
+        "holds": True, "subsets_checked": 1, "density": "uniform",
+    }
+
+
+def test_counting_bound_under_a_measure():
+    # under a Folner-stage measure the value is mu(A), and translates may meet
+    # on a null set: tri and tri + 1 share only 1, outside the stage
+    g = ZWindowGroup(Window(0, 9999, margin=64))
+    tri = tri_set(g)
+    m = measure_build([1], 10, tri)
+    with pytest.raises(PreconditionFailed):
+        counting_bound_check(tri, [0, 1], 2)
+    report = counting_bound_check(tri, [0, 1], 2, measure=m)
+    assert (report.value, report.holds, report.payload()["density"]) == (0, True, "folner-stage")
+    pair = g.set_of([m.y, m.y + 5])
+    assert counting_bound_check(pair, [0, 1], 2, measure=m).value == m.mu(pair) == Fraction(2, 21)
+    stage = g.set_of(range(m.y, m.y + m.cert.length))
+    with pytest.raises(PreconditionFailed, match="non-null intersection"):
+        counting_bound_check(stage, [0, 1], 2, measure=m)
+
+
 def test_counting_bound_rejects_conflicting_family():
     g = ZModGroup(64)
     evens = g.set_of(range(0, 64, 2))

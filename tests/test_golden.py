@@ -3,7 +3,8 @@ stderr and its exit code, byte for byte.
 
 Each case runs ``cli.main`` in process, drops the timing fields from the
 report (``reports.strip_timing``) and compares the rendering with
-``tests/golden/<case>.json``.  After a change that is meant to alter a
+``tests/golden/<case>.json``; CI renders the installed ``idealpack`` script's
+runs of the same cases with ``render`` and compares them too.  After a change that is meant to alter a
 report, regenerate every file from the repository root with
 
     PYTHONPATH=src:tests python -c "import test_golden as t; [(t.GOLDEN / f'{k}.json').write_text(t.run_case(a)) for k, a in t.CASES.items()]"
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from idealpack.cli import main
+from idealpack import cli
 from idealpack.reports import render_json, strip_timing
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,16 +98,32 @@ CASES = {
 }
 
 
+def render(code: int, out: str, err: str) -> str:
+    """The golden rendering of one command's exit code, stderr and stdout
+    report, the report stripped of its timing fields."""
+    report = strip_timing(json.loads(out)) if out else None
+    return render_json({"exit": code, "stderr": err, "stdout": report})
+
+
 def run_case(argv: list) -> str:
-    """The golden rendering of one command: exit code, stderr and the
-    stripped stdout report."""
+    """The golden rendering of one command run in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    report = strip_timing(json.loads(out.getvalue())) if out.getvalue() else None
-    return render_json({"exit": code, "stderr": err.getvalue(), "stdout": report})
+        code = cli.main(list(argv))
+    return render(code, out.getvalue(), err.getvalue())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case):
     assert run_case(CASES[case]) == (GOLDEN / f"{case}.json").read_text()
+
+
+def test_one_parser_serves_every_command():
+    # every case twice in one process: the parser is built at most once, and
+    # reused it parses each command as a freshly built one does
+    for _ in range(2):
+        for case, argv in CASES.items():
+            assert run_case(argv) == (GOLDEN / f"{case}.json").read_text(), case
+    assert cli._build_parser.cache_info().misses <= 1
+    for argv in CASES.values():
+        assert cli._build_parser().parse_args(argv) == cli._build_parser.__wrapped__().parse_args(argv)

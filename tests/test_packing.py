@@ -692,6 +692,19 @@ def test_banded_cap_closes_above_the_greedy_seed():
     assert (r.timing["bandwidth"], r.timing["capped"]) == (12, 1)
 
 
+def test_re_search_takes_the_first_descent_where_it_is_as_large():
+    # {4, 8} on Z_14: a component's family beats its part of the greedy
+    # seed, so each one that does not takes its first family of that size,
+    # here its first descent; the family is the uncapped search's
+    A = ZModGroup(14).set_of([4, 8])
+    cands = [8, 13, 1, 9, 0, 6, 3]
+    want, _, _ = _recursive_exact_pairs(ConflictOracle(A, TrivialIdeal(), cands, 2), len(cands), math.inf)
+    r = pack_exact(A, TrivialIdeal(), cands, 2)
+    assert (r.value, r.flag, r.stats["nodes"]) == (6, "exact", 3)
+    assert (r.timing["components"], r.timing["capped"]) == (5, 5)
+    assert r.family == [cands[i] for i in want] == [8, 1, 9, 0, 6, 3]
+
+
 def test_banded_cap_closes_spot_on_a_window():
     # {0, 5, 9} on shifts 0..300 conflicts at differences 4, 5 and 9: six
     # blocks of conflict rows, bandwidth 9.  The greedy seed is the optimum

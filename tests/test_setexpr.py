@@ -290,6 +290,12 @@ def test_f2_primitives():
         ("shift(interval(0, 5), 40)", "finite"),
         ("compl(empty)", "infinite"),
         ("compl(all)", "unknown"),
+        ("powers(1)", "finite"),  # {1}
+        ("ap(7, 0)", "finite"),  # the constant progression {7}
+        ("union(diff(evens, all), list{1})", "unknown"),
+        ("inter(evens, powers(2))", "unknown"),
+        ("diff(list{1, 2}, evens)", "finite"),
+        ("diff(evens, list{0})", "infinite"),
     ],
 )
 def test_symbolic_finiteness(text, verdict):
