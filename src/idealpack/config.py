@@ -84,23 +84,7 @@ class _Parser:
             raise InvalidParam(f"config: expected {val or kind}, got {v!r}")
         return v
 
-    def value(self) -> Any:
-        """A scalar, or a bracketed list of scalars."""
-        if self.peek() != ("punct", "["):
-            return self.scalar()
-        self.next()
-        items = []
-        self.skip_newlines()
-        while self.peek() != ("punct", "]"):
-            items.append(self.scalar())
-            self.skip_newlines()
-            if self.peek() == ("punct", ","):
-                self.next()
-                self.skip_newlines()
-        self.next()
-        return items
-
-    def scalar(self) -> Any:
+    def value(self, in_list: bool = False) -> Any:
         k, v = self.next()
         if k == "string":
             return v[1:-1].replace('\\"', '"').replace("\\\\", "\\")
@@ -113,7 +97,18 @@ class _Parser:
                 return False
             raise InvalidParam(f"config: bare word {v!r} is not a value (quote strings)")
         if (k, v) == ("punct", "["):
-            raise InvalidParam("config: a list holds only numbers, strings and booleans")
+            if in_list:
+                raise InvalidParam("config: a list holds only numbers, strings and booleans")
+            items = []
+            self.skip_newlines()
+            while self.peek() != ("punct", "]"):
+                items.append(self.value(in_list=True))
+                self.skip_newlines()
+                if self.peek() == ("punct", ","):
+                    self.next()
+                    self.skip_newlines()
+            self.next()
+            return items
         raise InvalidParam(f"config: expected a value, got {v!r}")
 
     def block(self) -> dict:
