@@ -264,8 +264,7 @@ def parse_set_expr(text: str) -> SetExpr:
 
 
 def print_set_expr(expr: SetExpr) -> str:
-    """Canonical text for a tree, each name as written; ``parse_set_expr``
-    inverts it exactly."""
+    """Canonical text for a tree; ``parse_set_expr`` inverts it exactly."""
     if isinstance(expr, Prim):
         if expr.name == "list":
             return "list{" + ",".join(str(x) for x in expr.args) + "}"

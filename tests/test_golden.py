@@ -3,9 +3,10 @@ stderr and its exit code, byte for byte.
 
 Each case runs ``cli.main`` in process, drops the timing fields from the
 report (``reports.strip_timing``) and compares the rendering with
-``tests/golden/<case>.json``; CI renders the installed ``idealpack`` script's
-runs of the same cases with ``render`` and compares them too.  After a change that is meant to alter a
-report, regenerate every file from the repository root with
+``tests/golden/<case>.json``; CI renders the installed ``idealpack``
+script's runs of the same cases with ``render`` and compares them too.
+After a change that is meant to alter a report, regenerate every file from
+the repository root with
 
     PYTHONPATH=src:tests python -c "import test_golden as t; [(t.GOLDEN / f'{k}.json').write_text(t.run_case(a)) for k, a in t.CASES.items()]"
 
